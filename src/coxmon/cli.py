@@ -44,13 +44,13 @@ from .morphisms import (
     verify_respects_normal_forms,
 )
 from .partitions import (
+    DEFAULT_BOUND,
     AdmissibilityVerdict,
     BlockPartition,
     ExhaustiveFiniteCertificate,
     LiftCertificate,
     OrbitCertificate,
     bipartite_partition,
-    block_partition,
     check_admissible,
     classify_2partitions,
     orbit_partition,
@@ -76,6 +76,22 @@ class _Parser(argparse.ArgumentParser):
 
 
 # -- input parsing ---------------------------------------------------------
+
+
+def _count_at_least(minimum: int):
+    """argparse type for a count option: an integer >= minimum."""
+
+    def count(text: str) -> int:
+        n = int(text)
+        if n < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {n}")
+        return n
+
+    return count
+
+
+_positive = _count_at_least(1)
+_non_negative = _count_at_least(0)
 
 
 def load_graph(spec: str) -> CoxeterGraph:
@@ -433,27 +449,27 @@ def build_parser() -> argparse.ArgumentParser:
             "decide admissibility of a partition")
     p.add_argument("graph")
     p.add_argument("partition")
-    p.add_argument("--bound", type=int, default=64)
+    p.add_argument("--bound", type=_positive, default=DEFAULT_BOUND)
 
     p = add("type", cmd_type, "Coxeter matrix of an admissible partition")
     p.add_argument("graph")
     p.add_argument("partition")
-    p.add_argument("--bound", type=int, default=64)
+    p.add_argument("--bound", type=_positive, default=DEFAULT_BOUND)
 
     p = add("classify", cmd_classify,
             "all admissible 2-partitions of a spherical graph")
     p.add_argument("graph")
-    p.add_argument("--bound", type=int, default=64)
+    p.add_argument("--bound", type=_positive, default=DEFAULT_BOUND)
 
     p = add("burst", cmd_burst, "the burst of a graph")
     p.add_argument("graph")
-    p.add_argument("--copies", type=int, default=None)
+    p.add_argument("--copies", type=_positive, default=None)
 
     p = add("verify-burst", cmd_verify_burst,
             "re-check admissibility and type of a burst")
     p.add_argument("graph")
-    p.add_argument("--copies", type=int, default=None)
-    p.add_argument("--bound", type=int, default=64)
+    p.add_argument("--copies", type=_positive, default=None)
+    p.add_argument("--bound", type=_positive, default=DEFAULT_BOUND)
 
     p = add("normal-form", cmd_normal_form,
             "left-greedy normal form of a positive word")
@@ -465,7 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("x")
     p.add_argument("y")
     p.add_argument("--side", choices=("left", "right"), default="right")
-    p.add_argument("--steps", type=int, default=None,
+    p.add_argument("--steps", type=_positive, default=None,
                    help="reversing budget (default: scaled to the graph)")
 
     p = add("gcd", cmd_gcd, "greatest common divisor of two positive words")
@@ -478,34 +494,34 @@ def build_parser() -> argparse.ArgumentParser:
             "build the morphism of an admissible partition and test it")
     p.add_argument("graph")
     p.add_argument("partition")
-    p.add_argument("--bound", type=int, default=64)
-    p.add_argument("--pairs", type=int, default=200)
-    p.add_argument("--samples", type=int, default=100)
-    p.add_argument("--max-len", type=int, default=6)
+    p.add_argument("--bound", type=_positive, default=DEFAULT_BOUND)
+    p.add_argument("--pairs", type=_positive, default=200)
+    p.add_argument("--samples", type=_positive, default=100)
+    p.add_argument("--max-len", type=_positive, default=6)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--steps", type=int, default=None,
+    p.add_argument("--steps", type=_positive, default=None,
                    help="reversing budget (default: scaled to the graph)")
 
     p = add("folding", cmd_folding, "check a vertex surjection as a folding")
     p.add_argument("source")
     p.add_argument("base")
     p.add_argument("mapping", help="from:to pairs joined by commas")
-    p.add_argument("--bound", type=int, default=64)
+    p.add_argument("--bound", type=_positive, default=DEFAULT_BOUND)
 
     p = add("fixed-points", cmd_fixed_points,
             "compare automorphism fixed points with the orbit submonoid")
     p.add_argument("graph")
     p.add_argument("automorphism", nargs="+",
                    help="from:to pairs joined by commas")
-    p.add_argument("--length-bound", type=int, required=True)
-    p.add_argument("--budget", type=int, default=200_000)
+    p.add_argument("--length-bound", type=_non_negative, required=True)
+    p.add_argument("--budget", type=_positive, default=200_000)
 
     p = add("orbits", cmd_orbits,
             "spherical orbit partition of a group of automorphisms")
     p.add_argument("graph")
     p.add_argument("automorphism", nargs="*",
                    help="from:to pairs; full Aut when omitted")
-    p.add_argument("--bound", type=int, default=64)
+    p.add_argument("--bound", type=_positive, default=DEFAULT_BOUND)
 
     return parser
 

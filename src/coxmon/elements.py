@@ -29,20 +29,15 @@ import dataclasses
 import functools
 import math
 
-from .exact import CosField, ExactScalar, field_for_modulus
+from .exact import CosField, field_for_modulus
 from .graphs import (
     CoxeterGraph,
-    classify_spherical,
     is_spherical,
     positive_root_count,
 )
 
 DEFAULT_STEP_CEILING = 10_000
 DEFAULT_ORDER_BOUND = 10_000
-
-# a block word is a sequence of vertex subsets, each standing for the
-# longest element of its (spherical) standard parabolic subgroup
-BlockWord = "tuple[tuple[str, ...], ...]"
 
 
 # -- root systems ----------------------------------------------------------
@@ -191,7 +186,7 @@ class RootPermElement:
 
 @functools.lru_cache(maxsize=None)
 def _matrix_tables(g: CoxeterGraph):
-    """(field, cos rows, generator matrices, identity matrix) for g."""
+    """(field, cos rows, identity matrix) for g."""
     field = field_for_modulus(g.modulus)
     n = g.rank
     zero, one = field.zero, field.one
@@ -202,13 +197,7 @@ def _matrix_tables(g: CoxeterGraph):
     ident = tuple(
         tuple(one if r == c else zero for c in range(n)) for r in range(n)
     )
-    gens = []
-    for a in range(n):
-        rows = [list(row) for row in ident]
-        for j in range(n):
-            rows[a][j] = -one if j == a else cos[a][j]
-        gens.append(tuple(tuple(r) for r in rows))
-    return field, cos, tuple(gens), ident
+    return field, cos, ident
 
 
 @dataclasses.dataclass(frozen=True)
@@ -237,7 +226,7 @@ class MatrixElement:
 
     def gen_left(self, v: str) -> "MatrixElement":
         """s_v * self: only row a changes."""
-        field, cos, _, _ = _matrix_tables(self.graph)
+        cos = _matrix_tables(self.graph)[1]
         a = self.graph._index[v]
         n = self.graph.rank
         new_row = []
@@ -253,7 +242,7 @@ class MatrixElement:
     def gen_right(self, v: str) -> "MatrixElement":
         """self * s_v: column a flips sign, and every other column c gains
         cos(a,c) times the old column a."""
-        field, cos, _, _ = _matrix_tables(self.graph)
+        cos = _matrix_tables(self.graph)[1]
         a = self.graph._index[v]
         n = self.graph.rank
         rows = []
@@ -272,7 +261,7 @@ class MatrixElement:
 
     @property
     def is_identity(self) -> bool:
-        return self.matrix == _matrix_tables(self.graph)[3]
+        return self.matrix == _matrix_tables(self.graph)[2]
 
     @functools.cached_property
     def right_descents(self) -> frozenset:
@@ -333,9 +322,6 @@ class MatrixElement:
         return None
 
 
-CoxElement = "RootPermElement | MatrixElement"
-
-
 # -- public operations -----------------------------------------------------
 
 
@@ -350,20 +336,20 @@ def pick_backend(g: CoxeterGraph, backend: str | None = None) -> str:
 
 
 @functools.lru_cache(maxsize=None)
-def _identity_cached(g: CoxeterGraph, backend: str):
-    if backend == "perm":
+def identity_element(g: CoxeterGraph, backend: str | None = None):
+    """The identity of W, as a permutation over a spherical graph and as a
+    matrix otherwise.  Every element built from it keeps its backend, so
+    the choice is made here once per graph; an explicit ``backend`` only
+    serves to compare the two routes."""
+    if pick_backend(g, backend) == "perm":
         rs = root_system(g)
         return RootPermElement(g, tuple(range(2 * rs.n_positive)), rs)
-    return MatrixElement(g, _matrix_tables(g)[3])
+    return MatrixElement(g, _matrix_tables(g)[2])
 
 
-def identity_element(g: CoxeterGraph, backend: str | None = None):
-    return _identity_cached(g, pick_backend(g, backend))
-
-
-def element_from_word(g: CoxeterGraph, word, backend: str | None = None):
+def element_from_word(g: CoxeterGraph, word):
     """The element s_{i1} ... s_{ik} of the word (i1, ..., ik)."""
-    w = identity_element(g, backend)
+    w = identity_element(g)
     for v in word:
         if v not in g._index:
             raise ValueError(f"{v!r} is not a vertex")
@@ -371,8 +357,8 @@ def element_from_word(g: CoxeterGraph, word, backend: str | None = None):
     return w
 
 
-def generator(g: CoxeterGraph, v: str, backend: str | None = None):
-    return element_from_word(g, (v,), backend)
+def generator(g: CoxeterGraph, v: str):
+    return element_from_word(g, (v,))
 
 
 def length(w) -> int:
@@ -410,7 +396,7 @@ def support(w) -> frozenset:
     return frozenset(canonical_word(w))
 
 
-def longest_element(g: CoxeterGraph, subset=None, backend: str | None = None):
+def longest_element(g: CoxeterGraph, subset=None):
     """Longest element r_J of the standard parabolic W_J, J spherical.
 
     Greedy ascent: repeatedly right-multiply by the least generator of J
@@ -421,7 +407,7 @@ def longest_element(g: CoxeterGraph, subset=None, backend: str | None = None):
     bound = positive_root_count(g.restrict(J))
     if bound is None:
         raise ValueError("longest element needs a spherical subset")
-    w = identity_element(g, backend)
+    w = identity_element(g)
     for _ in range(bound + 1):
         free = [j for j in J if j not in w.right_descents]
         if not free:
@@ -436,17 +422,16 @@ def order_of(w, bound: int = DEFAULT_ORDER_BOUND) -> int | None:
     return w.order(bound)
 
 
-def is_compatible(g: CoxeterGraph, blocks, backend: str | None = None) -> bool:
+def is_compatible(g: CoxeterGraph, blocks) -> bool:
     """Whether l(r_{B1} ... r_{Bk}) equals l(r_{B1}) + ... + l(r_{Bk}).
 
     Each block must span a spherical subgraph.  This is the letter-additivity
     test used throughout the admissibility machinery.
     """
-    backend = pick_backend(g, backend)
     total = 0
-    w = identity_element(g, backend)
+    w = identity_element(g)
     for block in blocks:
-        r = longest_element(g, block, backend)
+        r = longest_element(g, block)
         total += r.length
         w = w * r
     if isinstance(w, MatrixElement):

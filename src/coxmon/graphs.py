@@ -31,8 +31,6 @@ import re
 
 INFINITY = math.inf
 
-Label = "int | float"  # finite int >= 2, or INFINITY
-
 
 def is_infinite(m) -> bool:
     """True for the INFINITY label."""

@@ -22,13 +22,7 @@ from __future__ import annotations
 
 import dataclasses
 
-from .elements import (
-    canonical_word,
-    element_from_word,
-    identity_element,
-    longest_element,
-    pick_backend,
-)
+from .elements import canonical_word, element_from_word, longest_element
 from .graphs import CoxeterGraph, is_infinite, is_spherical
 
 DEFAULT_STEP_BOUND = 10_000
@@ -36,7 +30,8 @@ SPHERICAL_STEP_BOUND = 2_000_000
 
 
 class StepBudgetExceeded(RuntimeError):
-    """Word reversing ran out of budget before settling."""
+    """A search ran out of budget before settling: word reversing, or the
+    element enumerations of ``fixed_submonoid_check``."""
 
 
 def default_step_bound(g: CoxeterGraph) -> int:
@@ -60,10 +55,13 @@ class PosBraid:
 
     def __post_init__(self):
         for f in self.factors:
-            assert f.graph == self.graph
-            assert not f.is_identity, "trivial factor in normal form"
+            if f.graph != self.graph:
+                raise ValueError("factor over another graph")
+            if f.is_identity:
+                raise ValueError("trivial factor in normal form")
         for u, v in zip(self.factors, self.factors[1:]):
-            assert v.left_descents <= u.right_descents, "not left-greedy"
+            if not v.left_descents <= u.right_descents:
+                raise ValueError("factor list is not in left-greedy normal form")
 
     @property
     def length(self) -> int:
@@ -73,10 +71,6 @@ class PosBraid:
     def is_trivial(self) -> bool:
         return not self.factors
 
-    @property
-    def is_simple(self) -> bool:
-        return len(self.factors) <= 1
-
     def word(self) -> tuple:
         """Canonical positive word: factorwise canonical reduced words."""
         out = []
@@ -84,24 +78,11 @@ class PosBraid:
             out.extend(canonical_word(f))
         return tuple(out)
 
-    def image_in_group(self):
-        """The W element obtained by multiplying the factors."""
-        w = identity_element(self.graph, _backend_of(self))
-        for f in self.factors:
-            w = w * f
-        return w
-
     def __mul__(self, other: "PosBraid") -> "PosBraid":
         return multiply(self, other)
 
     def __repr__(self):
         return f"PosBraid({''.join(self.word()) or 'e'})"
-
-
-def _backend_of(x: PosBraid) -> str | None:
-    if x.factors:
-        return "perm" if type(x.factors[0]).__name__ == "RootPermElement" else "matrix"
-    return None
 
 
 # -- construction ----------------------------------------------------------
@@ -116,10 +97,6 @@ def lift(w) -> PosBraid:
     if w.is_identity:
         return PosBraid(w.graph, ())
     return PosBraid(w.graph, (w,))
-
-
-def atom(g: CoxeterGraph, v: str, backend: str | None = None) -> PosBraid:
-    return lift(element_from_word(g, (v,), backend))
 
 
 def normalize(g: CoxeterGraph, simples) -> PosBraid:
@@ -148,9 +125,8 @@ def normalize(g: CoxeterGraph, simples) -> PosBraid:
     return PosBraid(g, tuple(xs))
 
 
-def braid_from_word(g: CoxeterGraph, letters, backend: str | None = None) -> PosBraid:
-    backend = pick_backend(g, backend)
-    return normalize(g, [element_from_word(g, (v,), backend) for v in letters])
+def braid_from_word(g: CoxeterGraph, letters) -> PosBraid:
+    return normalize(g, [element_from_word(g, (v,)) for v in letters])
 
 
 def multiply(x: PosBraid, y: PosBraid) -> PosBraid:
@@ -168,17 +144,6 @@ def braid_reverse(x: PosBraid) -> PosBraid:
 # -- divisibility ----------------------------------------------------------
 
 
-def max_simple_divisor(x: PosBraid, side: str = "left"):
-    """The W element of the largest simple dividing x on the given side."""
-    if side == "left":
-        if not x.factors:
-            return identity_element(x.graph, _backend_of(x))
-        return x.factors[0]
-    if side == "right":
-        return max_simple_divisor(braid_reverse(x), "left").inverse
-    raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-
-
 def _strip_atom_left(x: PosBraid, i: str) -> PosBraid | None:
     """s_i^{-1} x if the atom divides x on the left, else None."""
     if not x.factors:
@@ -189,19 +154,23 @@ def _strip_atom_left(x: PosBraid, i: str) -> PosBraid | None:
     return normalize(x.graph, (first,) + x.factors[1:])
 
 
+def _quotient_left(d: PosBraid, x: PosBraid) -> PosBraid | None:
+    """d^{-1} x if d divides x on the left, else None."""
+    cur = x
+    for i in d.word():
+        cur = _strip_atom_left(cur, i)
+        if cur is None:
+            return None
+    return cur
+
+
 def divides(d: PosBraid, x: PosBraid, side: str = "left") -> bool:
     """Whether d divides x on the given side."""
     if side == "right":
         return divides(braid_reverse(d), braid_reverse(x), "left")
     if side != "left":
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    cur = x
-    for i in d.word():
-        nxt = _strip_atom_left(cur, i)
-        if nxt is None:
-            return False
-        cur = nxt
-    return True
+    return _quotient_left(d, x) is not None
 
 
 def cancel(d: PosBraid, x: PosBraid, side: str = "left") -> PosBraid:
@@ -211,13 +180,10 @@ def cancel(d: PosBraid, x: PosBraid, side: str = "left") -> PosBraid:
         return braid_reverse(cancel(braid_reverse(d), braid_reverse(x), "left"))
     if side != "left":
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    cur = x
-    for i in d.word():
-        nxt = _strip_atom_left(cur, i)
-        if nxt is None:
-            raise ValueError("does not divide")
-        cur = nxt
-    return cur
+    q = _quotient_left(d, x)
+    if q is None:
+        raise ValueError("does not divide")
+    return q
 
 
 def gcd(x: PosBraid, y: PosBraid, side: str = "left") -> PosBraid:
@@ -242,7 +208,7 @@ def gcd(x: PosBraid, y: PosBraid, side: str = "left") -> PosBraid:
         letters.append(i)
         cx = _strip_atom_left(cx, i)
         cy = _strip_atom_left(cy, i)
-    return braid_from_word(g, letters, _backend_of(x) or _backend_of(y))
+    return braid_from_word(g, letters)
 
 
 # -- lcm by word reversing -------------------------------------------------
@@ -313,19 +279,19 @@ def lcm(
     comp = reverse_complement(x.graph, x.word(), y.word(), step_bound)
     if comp is None:
         return None
-    out = multiply(x, braid_from_word(x.graph, comp[0], _backend_of(x)))
+    out = multiply(x, braid_from_word(x.graph, comp[0]))
     assert divides(x, out, "left") and divides(y, out, "left")  # cheap sanity
     return out
 
 
-def lcm_atoms(g: CoxeterGraph, subset, backend: str | None = None) -> PosBraid | None:
+def lcm_atoms(g: CoxeterGraph, subset) -> PosBraid | None:
     """lcm of the atoms of a vertex subset J: the lifted longest element
     r_J when the restriction is spherical, else None (no common multiple).
     Purely diagrammatic decision, no search."""
     J = tuple(sorted(set(subset)))
     if not is_spherical(g.restrict(J)):
         return None
-    return lift(longest_element(g, J, backend))
+    return lift(longest_element(g, J))
 
 
 # -- fractions -------------------------------------------------------------
@@ -357,15 +323,11 @@ def braid_to_json(x: PosBraid) -> list:
     return [list(canonical_word(f)) for f in x.factors]
 
 
-def braid_from_json(g: CoxeterGraph, data, backend: str | None = None) -> PosBraid:
-    backend = pick_backend(g, backend)
+def braid_from_json(g: CoxeterGraph, data) -> PosBraid:
     factors = []
     for word in data:
-        f = element_from_word(g, word, backend)
+        f = element_from_word(g, word)
         if f.length != len(word):
             raise ValueError(f"factor word {word!r} is not reduced")
         factors.append(f)
-    try:
-        return PosBraid(g, tuple(factors))
-    except AssertionError:
-        raise ValueError("factor list is not in left-greedy normal form") from None
+    return PosBraid(g, tuple(factors))

@@ -60,6 +60,7 @@ from .monoid import (
     multiply,
 )
 from .partitions import (
+    DEFAULT_BOUND,
     AdmissibilityVerdict,
     BlockPartition,
     LiftCertificate,
@@ -72,8 +73,6 @@ from .partitions import (
     pair_order,
     partition_type,
 )
-
-DEFAULT_BOUND = 64
 
 
 # -- admissible morphisms --------------------------------------------------
@@ -264,7 +263,7 @@ def verify_respects_normal_forms(
         if good:
             try:
                 rebuilt = PosBraid(m.target, tuple(image_factors))
-            except AssertionError:
+            except ValueError:
                 good = False  # factor images must already be left-greedy
         if good and rebuilt.factors == fx.factors:
             nf_ok += 1
@@ -681,7 +680,12 @@ def fixed_submonoid_check(
 ) -> FixedSubmonoidReport:
     """Enumerate, length by length, the braids fixed by every generator
     automorphism, and the products of the lifted longest elements of the
-    spherical orbits; report both counts (they must agree)."""
+    spherical orbits; report both counts (they must agree).
+
+    Raises StepBudgetExceeded when a length level holds more than
+    ``budget`` elements."""
+    if length_bound < 0:
+        raise ValueError(f"length_bound must be >= 0, got {length_bound}")
     group = generated_permutation_group(g, generators)
     p = orbit_partition(g, generators)
     fixed = [set() for _ in range(length_bound + 1)]
@@ -696,7 +700,9 @@ def fixed_submonoid_check(
                 for v in g.vertices:
                     nxt.add(multiply(x, braid_from_word(g, (v,))))
                     if len(nxt) > budget:
-                        raise RuntimeError("fixed-point enumeration budget exceeded")
+                        raise StepBudgetExceeded(
+                            f"fixed-point enumeration passed {budget} elements"
+                        )
             level = nxt
     gens = [lift(longest_element(g, b)) for b in p.blocks]
     reached = [set() for _ in range(length_bound + 1)]
@@ -712,7 +718,9 @@ def fixed_submonoid_check(
                         reached[nl].add(y.factors)
                         frontier.setdefault(nl, set()).add(y)
                         if len(reached[nl]) > budget:
-                            raise RuntimeError("submonoid enumeration budget exceeded")
+                            raise StepBudgetExceeded(
+                                f"submonoid enumeration passed {budget} elements"
+                            )
     return FixedSubmonoidReport(
         g,
         p,

@@ -39,14 +39,14 @@ from __future__ import annotations
 import dataclasses
 import itertools
 
-from .elements import identity_element, is_compatible, longest_element, pick_backend
+from .elements import identity_element, is_compatible, longest_element
 from .graphs import (
     INFINITY,
     CoxeterGraph,
     automorphisms,
     bipartite_classes,
-    classify_spherical,
     generated_permutation_group,
+    is_direct_product,
     is_infinite,
     is_spherical,
     positive_root_count,
@@ -71,16 +71,22 @@ class BlockPartition:
     names: tuple
 
     def __post_init__(self):
-        assert len(self.blocks) == len(self.names)
-        assert len(set(self.names)) == len(self.names), "duplicate block names"
+        if len(self.blocks) != len(self.names):
+            raise ValueError("one name per block")
+        if len(set(self.names)) != len(self.names):
+            raise ValueError("duplicate block names")
         seen = set()
         for b in self.blocks:
-            assert b == tuple(sorted(b)) and b, "blocks must be sorted and nonempty"
+            if not b or b != tuple(sorted(b)):
+                raise ValueError("blocks must be sorted and nonempty")
             for v in b:
-                assert v in self.graph._index, f"{v!r} is not a vertex"
-                assert v not in seen, f"{v!r} appears in two blocks"
+                if v not in self.graph._index:
+                    raise ValueError(f"{v!r} is not a vertex")
+                if v in seen:
+                    raise ValueError(f"{v!r} appears in two blocks")
                 seen.add(v)
-        assert self.blocks == tuple(sorted(self.blocks)), "blocks out of order"
+        if self.blocks != tuple(sorted(self.blocks)):
+            raise ValueError("blocks out of order")
 
     @property
     def carrier(self) -> tuple:
@@ -112,12 +118,7 @@ def block_partition(g: CoxeterGraph, blocks, names=None) -> BlockPartition:
         if len(names) != len(cleaned):
             raise ValueError("one name per block")
         pairs = sorted(zip(cleaned, (str(n) for n in names)))
-    try:
-        return BlockPartition(
-            g, tuple(b for b, _ in pairs), tuple(n for _, n in pairs)
-        )
-    except AssertionError as e:
-        raise ValueError(str(e)) from None
+    return BlockPartition(g, tuple(b for b, _ in pairs), tuple(n for _, n in pairs))
 
 
 def parse_partition(g: CoxeterGraph, text: str) -> BlockPartition:
@@ -231,10 +232,6 @@ class AdmissibilityVerdict:
 # -- pair machinery --------------------------------------------------------
 
 
-def _cross_labels_all_two(g: CoxeterGraph, a, b) -> bool:
-    return all(g.m(i, j) == 2 for i in a for j in b)
-
-
 def _isolated_vertex(g: CoxeterGraph, a, b):
     """A vertex of a with only label-2 edges into b, if any."""
     for i in a:
@@ -248,8 +245,7 @@ def pair_order(g: CoxeterGraph, alpha, beta, bound: int = DEFAULT_BOUND):
     power scan up to the bound (None past it)."""
     carrier = tuple(sorted(set(alpha) | set(beta)))
     gr = g.restrict(carrier)
-    backend = pick_backend(gr)
-    w = longest_element(gr, alpha, backend) * longest_element(gr, beta, backend)
+    w = longest_element(gr, alpha) * longest_element(gr, beta)
     return w.order(bound)
 
 
@@ -260,12 +256,11 @@ def _scan_alternating(gr: CoxeterGraph, alpha, beta, n_max: int):
     additive, in which case products maps 'alpha'/'beta' to the group
     element of the full n_max-factor word.
     """
-    backend = pick_backend(gr)
     products = {}
     for first, x, y in (("alpha", alpha, beta), ("beta", beta, alpha)):
-        rx = longest_element(gr, x, backend)
-        ry = longest_element(gr, y, backend)
-        w = identity_element(gr, backend)
+        rx = longest_element(gr, x)
+        ry = longest_element(gr, y)
+        w = identity_element(gr)
         for n in range(1, n_max + 1):
             block, r = (x, rx) if n % 2 else (y, ry)
             # l(w r_B) = l(w) + l(r_B) iff w has no right descent in B
@@ -292,7 +287,7 @@ def check_pair(
             raise ValueError(f"block {b} does not span a spherical subgraph")
 
     # (i) direct product: r_a and r_b commute, order 2, trivially admissible
-    if _cross_labels_all_two(gr, alpha, beta):
+    if is_direct_product(gr, (alpha, beta)):
         return AdmissibilityVerdict(
             "admissible",
             bound,
@@ -641,7 +636,7 @@ def product_split_check(
     factors = [tuple(sorted(f)) for f in factors]
     if sorted(v for f in factors for v in f) != sorted(g.vertices):
         raise ValueError("factors must partition the vertices")
-    if not _cross_labels_all_two_multi(g, factors):
+    if not is_direct_product(g, factors):
         raise ValueError("factors are joined by an edge; not a direct product")
     verdicts, orders = [], []
     for f, (a, b) in zip(factors, factor_partitions):
@@ -659,13 +654,6 @@ def product_split_check(
         check_pair(g, alpha, beta, bound),
         pair_order(g, alpha, beta, bound),
     )
-
-
-def _cross_labels_all_two_multi(g, factors) -> bool:
-    for x, y in itertools.combinations(factors, 2):
-        if not _cross_labels_all_two(g, x, y):
-            return False
-    return True
 
 
 # -- classification of 2-partitions ---------------------------------------

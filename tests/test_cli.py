@@ -174,6 +174,32 @@ def test_fixed_points(capsys):
     assert data["fixed_counts"] == [1, 1, 2, 3, 5, 8]
     assert data["ok"] is True
 
+    # an exhausted enumeration budget leaves the check undecided
+    code, _, err = run(capsys, "fixed-points", "A3", "1:3,3:1,2:2",
+                       "--length-bound", "8", "--budget", "5")
+    assert code == 2
+    assert "budget" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["check-partition", "A3", "bipartite", "--bound", "0"],
+    ["check-partition", "A3", "bipartite", "--bound", "-3"],
+    ["type", "A3", "bipartite", "--bound", "x"],
+    ["lcm", "A2", "1", "2", "--steps", "-1"],
+    ["morphism-verify", "A3", "bipartite", "--pairs", "-2"],
+    ["morphism-verify", "A3", "bipartite", "--samples", "0"],
+    ["morphism-verify", "A3", "bipartite", "--max-len", "0"],
+    ["verify-burst", "B2", "--copies", "0"],
+    ["fixed-points", "A3", "1:3,3:1,2:2", "--length-bound", "2",
+     "--budget", "0"],
+    ["fixed-points", "A3", "1:3,3:1,2:2", "--length-bound", "-1"],
+])
+def test_count_options_are_validated(capsys, argv):
+    with pytest.raises(SystemExit) as e:
+        main(argv)
+    assert e.value.code == 3
+    assert f"argument {argv[-2]}:" in capsys.readouterr().err
+
 
 def test_orbits(capsys):
     code, out, _ = run(capsys, "orbits", "D4")

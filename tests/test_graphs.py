@@ -52,7 +52,8 @@ def test_construction_and_labels():
     assert g.m("a", "b") == g.m("b", "a") == 3
     assert g.m("a", "c") == 2  # non-edges commute
     assert is_infinite(g.m("b", "c"))
-    assert g.has_infinite_label
+    assert g.has_infinite_label()
+    assert not named_graph("A3").has_infinite_label()
     assert g.neighbors("b") == ("a", "c")
     assert g.degree("b") == 2
 

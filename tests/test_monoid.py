@@ -148,6 +148,9 @@ def test_json_roundtrip():
     x = braid_from_word(g, "21121")
     assert braid_from_json(g, braid_to_json(x)) == x
     assert braid_to_json(braid_identity(g)) == []
+    # the letter 2 of the second factor belongs in the first one
+    with pytest.raises(ValueError):
+        braid_from_json(named_graph("A3"), [["1"], ["2"]])
 
 
 # -- agreement with the word-rewriting model ------------------------------

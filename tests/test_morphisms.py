@@ -336,3 +336,10 @@ def test_fixed_submonoid_rejects_non_automorphism():
         fixed_submonoid_check(
             named_graph("A3"), [{"1": "2", "2": "1", "3": "3"}], 4
         )
+
+
+def test_fixed_submonoid_rejects_negative_length_bound():
+    with pytest.raises(ValueError):
+        fixed_submonoid_check(
+            named_graph("A3"), [{"1": "3", "3": "1", "2": "2"}], -1
+        )
