@@ -3,7 +3,8 @@
 Exit codes are uniform across subcommands: 0 for a positive result
 (admissible, verified, element found), 1 for a certified negative
 (not admissible, verification failed, no lcm), 2 for "unknown within the
-bound" or an exhausted step budget, 3 for usage and input errors.
+bound", an exhausted step budget or an internal error (traceback on
+stderr), 3 for usage and input errors.
 
 Graphs are given by name (``A5``, ``E8``, ``I2(7)``, ``I2(inf)``,
 ``Atilde3``) or by file, either the line format of ``parse_graph`` or
@@ -19,6 +20,7 @@ import argparse
 import json
 import os
 import sys
+import traceback
 
 from .graphs import (
     CoxeterGraph,
@@ -537,6 +539,10 @@ def main(argv=None) -> int:
     except (ValueError, OSError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception:
+        # an internal error decides nothing, so it must not read as exit 1
+        traceback.print_exc()
+        return EXIT_UNKNOWN
 
 
 if __name__ == "__main__":

@@ -29,7 +29,7 @@ import dataclasses
 import functools
 import math
 
-from .exact import CosField, field_for_modulus
+from .exact import field_for_modulus
 from .graphs import (
     CoxeterGraph,
     is_spherical,
@@ -40,22 +40,36 @@ DEFAULT_STEP_CEILING = 10_000
 DEFAULT_ORDER_BOUND = 10_000
 
 
+class StepBudgetExceeded(RuntimeError):
+    """A search ran out of budget before settling: the descent walk of a
+    matrix element, word reversing, or the element enumerations of
+    ``fixed_submonoid_check``."""
+
+
 # -- root systems ----------------------------------------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def _cos_rows(g: CoxeterGraph) -> tuple:
+    """Row a: the pairs (b, 2 cos(pi/m_ab)), b != a, with a nonzero entry."""
+    field = field_for_modulus(g.modulus)
+    return tuple(
+        tuple((b, c) for b, m in enumerate(row) if b != a and (c := field.two_cos(m)))
+        for a, row in enumerate(g.matrix)
+    )
 
 
 @dataclasses.dataclass
 class RootSystem:
-    """Finite root system of a spherical graph, with permutation tables."""
+    """Permutation tables of the finite root system of a spherical graph;
+    root r < P is the r-th sorted positive root, root r + P its negation."""
 
-    graph: CoxeterGraph
-    field: CosField
     n_positive: int
-    roots: tuple          # all 2P roots as coefficient tuples (ExactScalar)
     simple_index: dict    # vertex -> root index of its simple root
     action: tuple         # action[a][r] = index of s_{v_a}(root r)
 
 
-def _reflect(g: CoxeterGraph, cos_row, a: int, vec):
+def _reflect(cos_row, a: int, vec):
     """Apply the generator at vertex position a to a coordinate vector."""
     new_a = -vec[a]
     for b, c in cos_row:
@@ -67,54 +81,37 @@ def _reflect(g: CoxeterGraph, cos_row, a: int, vec):
 
 @functools.lru_cache(maxsize=None)
 def root_system(g: CoxeterGraph) -> RootSystem:
+    """The positive roots as the closure of the simple roots under the
+    reflections: s_a sends a_a to -a_a and permutes the other positive
+    roots (Humphreys, Reflection Groups and Coxeter Groups, Prop. 1.4), so
+    each image is computed once and no sign test is needed."""
     if not is_spherical(g):
         raise ValueError("root_system needs a spherical graph")
-    field = field_for_modulus(g.modulus)
-    n = g.rank
-    cos_rows = []
-    for a in range(n):
+    rows = _cos_rows(g)
+    roots = list(identity_element(g, "matrix").matrix)  # the simple roots
+    found = {v: k for k, v in enumerate(roots)}
+    images = []  # images[k][a] = found index of s_a(root k); None for -a_a
+    for k, vec in enumerate(roots):  # roots grows while it is scanned
         row = []
-        for b in range(n):
-            if b != a:
-                c = field.two_cos(g.matrix[a][b])
-                if not c.is_zero():
-                    row.append((b, c))
-        cos_rows.append(tuple(row))
-    zero, one = field.zero, field.one
-    simples = []
-    for a in range(n):
-        vec = [zero] * n
-        vec[a] = one
-        simples.append(tuple(vec))
-    seen = set(simples)
-    frontier = list(simples)
-    while frontier:
-        new = []
-        for vec in frontier:
-            for a in range(n):
-                img = _reflect(g, cos_rows[a], a, vec)
-                if img not in seen:
-                    seen.add(img)
-                    new.append(img)
-        frontier = new
-    positive = sorted(
-        (v for v in seen if all(c.sign() >= 0 for c in v)),
-        key=lambda v: tuple(c.coeffs for c in v),
-    )
-    P = len(positive)
-    assert 2 * P == len(seen), "root system is not symmetric"
-    expected = positive_root_count(g)
-    assert P == expected, f"got {P} positive roots, classification says {expected}"
-    roots = tuple(positive) + tuple(tuple(-c for c in v) for v in positive)
-    index = {v: r for r, v in enumerate(roots)}
-    action = tuple(
-        tuple(index[_reflect(g, cos_rows[a], a, v)] for v in roots)
-        for a in range(n)
-    )
-    simple_index = {
-        v: index[simples[a]] for a, v in enumerate(g.vertices)
-    }
-    return RootSystem(g, field, P, roots, simple_index, action)
+        for a, cos_row in enumerate(rows):
+            img = _reflect(cos_row, a, vec) if k != a else None
+            if img is not None and img not in found:
+                found[img] = len(roots)
+                roots.append(img)
+            row.append(found.get(img))
+        images.append(row)
+    P = len(roots)
+    if P != positive_root_count(g):
+        raise RuntimeError(f"{P} positive roots, against {positive_root_count(g)}")
+    order = sorted(range(P), key=lambda k: tuple(c.coeffs for c in roots[k]))
+    pos = {k: r for r, k in enumerate(order)}
+    action = []
+    for a in range(g.rank):
+        half = [r + P if images[k][a] is None else pos[images[k][a]]
+                for r, k in enumerate(order)]
+        action.append(tuple(half + [(x + P) % (2 * P) for x in half]))
+    simple_index = {v: pos[a] for a, v in enumerate(g.vertices)}
+    return RootSystem(P, simple_index, tuple(action))
 
 
 # -- permutation backend ---------------------------------------------------
@@ -184,22 +181,6 @@ class RootPermElement:
 # -- matrix backend --------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=None)
-def _matrix_tables(g: CoxeterGraph):
-    """(field, cos rows, identity matrix) for g."""
-    field = field_for_modulus(g.modulus)
-    n = g.rank
-    zero, one = field.zero, field.one
-    cos = [
-        [field.two_cos(g.matrix[a][b]) if a != b else None for b in range(n)]
-        for a in range(n)
-    ]
-    ident = tuple(
-        tuple(one if r == c else zero for c in range(n)) for r in range(n)
-    )
-    return field, cos, ident
-
-
 @dataclasses.dataclass(frozen=True)
 class MatrixElement:
     graph: CoxeterGraph
@@ -208,7 +189,7 @@ class MatrixElement:
     def __mul__(self, other: "MatrixElement") -> "MatrixElement":
         assert other.graph == self.graph
         n = self.graph.rank
-        zero = _matrix_tables(self.graph)[0].zero
+        zero = field_for_modulus(self.graph.modulus).zero
         a, b = self.matrix, other.matrix
         out = []
         for r in range(n):
@@ -226,54 +207,50 @@ class MatrixElement:
 
     def gen_left(self, v: str) -> "MatrixElement":
         """s_v * self: only row a changes."""
-        cos = _matrix_tables(self.graph)[1]
         a = self.graph._index[v]
-        n = self.graph.rank
+        row_a = _cos_rows(self.graph)[a]
+        mat = self.matrix
         new_row = []
-        for c in range(n):
-            acc = -self.matrix[a][c]
-            for k in range(n):
-                if k != a and cos[a][k] and self.matrix[k][c]:
-                    acc = acc + cos[a][k] * self.matrix[k][c]
+        for c in range(self.graph.rank):
+            acc = -mat[a][c]
+            for k, x in row_a:
+                y = mat[k][c]
+                if y:
+                    acc = acc + x * y
             new_row.append(acc)
-        mat = self.matrix[:a] + (tuple(new_row),) + self.matrix[a + 1:]
-        return MatrixElement(self.graph, mat)
+        return MatrixElement(self.graph, mat[:a] + (tuple(new_row),) + mat[a + 1:])
 
     def gen_right(self, v: str) -> "MatrixElement":
         """self * s_v: column a flips sign, and every other column c gains
         cos(a,c) times the old column a."""
-        cos = _matrix_tables(self.graph)[1]
         a = self.graph._index[v]
-        n = self.graph.rank
+        row_a = _cos_rows(self.graph)[a]
         rows = []
-        for r in range(n):
-            old = self.matrix[r]
-            row = []
-            for c in range(n):
-                if c == a:
-                    row.append(-old[a])
-                elif cos[a][c] and old[a]:
-                    row.append(old[c] + cos[a][c] * old[a])
-                else:
-                    row.append(old[c])
+        for old in self.matrix:
+            row = list(old)
+            row[a] = -old[a]
+            if old[a]:
+                for c, x in row_a:
+                    row[c] = old[c] + x * old[a]
             rows.append(tuple(row))
         return MatrixElement(self.graph, tuple(rows))
 
     @property
     def is_identity(self) -> bool:
-        return self.matrix == _matrix_tables(self.graph)[2]
+        return self.matrix == identity_element(self.graph, "matrix").matrix
 
     @functools.cached_property
     def right_descents(self) -> frozenset:
         out = []
         for j, v in enumerate(self.graph.vertices):
-            signs = [row[j].sign() for row in self.matrix]
-            assert any(signs), "zero column: not a group element"
-            if all(s <= 0 for s in signs):
+            signs = {row[j].sign() for row in self.matrix} - {0}
+            # a column is the image of a simple root: never zero or mixed-sign
+            if not signs:
+                raise ValueError(f"zero column {v}: not a group element")
+            if len(signs) > 1:
+                raise ValueError(f"mixed-sign column {v}: not a group element")
+            if signs == {-1}:
                 out.append(v)
-            else:
-                # a root is never mixed-sign; catch corrupted input early
-                assert all(s >= 0 for s in signs), "mixed-sign column"
         return frozenset(out)
 
     def reduced_word(self, step_ceiling: int | None = None) -> tuple:
@@ -295,7 +272,7 @@ class MatrixElement:
             j = min(cur.right_descents)
             letters.append(j)
             cur = cur.gen_right(j)
-        raise RuntimeError(f"descent walk exceeded {ceiling} steps")
+        raise StepBudgetExceeded(f"descent walk exceeded {ceiling} steps")
 
     @property
     def length(self) -> int:
@@ -303,7 +280,7 @@ class MatrixElement:
 
     @functools.cached_property
     def inverse(self) -> "MatrixElement":
-        out = identity_element(self.graph, backend="matrix")
+        out = identity_element(self.graph, "matrix")
         for v in reversed(self.reduced_word()):
             out = out.gen_right(v)
         return out
@@ -344,7 +321,12 @@ def identity_element(g: CoxeterGraph, backend: str | None = None):
     if pick_backend(g, backend) == "perm":
         rs = root_system(g)
         return RootPermElement(g, tuple(range(2 * rs.n_positive)), rs)
-    return MatrixElement(g, _matrix_tables(g)[2])
+    field = field_for_modulus(g.modulus)
+    n = g.rank
+    return MatrixElement(g, tuple(
+        tuple(field.one if r == c else field.zero for c in range(n))
+        for r in range(n)
+    ))
 
 
 def element_from_word(g: CoxeterGraph, word):

@@ -9,10 +9,11 @@ integer polynomial p_k(x) = 2 T_k(x/2) (Chebyshev):
     p_0 = 2,  p_1 = x,  p_{k+1} = x p_k - p_{k-1}.
 
 A scalar is a polynomial in theta with Fraction coefficients, reduced mod
-the minimal polynomial Psi_N of theta.  Psi_N has degree phi(2N)/2 (N >= 2)
-and roots 2 cos(k pi / N) for gcd(k, 2N) = 1; its integer coefficients are
-computed numerically at high precision and then certified exactly: Psi_N
-must divide p_N + 2 in Z[x] and have the right degree.
+the minimal polynomial Psi_N of theta, of degree d = phi(2N)/2 (N >= 2).
+Psi_N is built exactly from the cyclotomic polynomial Phi_2N of
+z = e^(i pi/N): Phi_2N(z) = z^d Psi_N(z + 1/z) (Watkins-Zeitlin 1993), and
+z^k + z^-k = p_k(z + 1/z), so the upper half of the coefficients of Phi_2N
+gives Psi_N in the basis p_k.  No numerics, nothing left to certify.
 
 Zero testing is exact (reduced coefficients all zero).  The *sign* of a
 nonzero scalar is determined by interval arithmetic (mpmath.iv) at doubling
@@ -28,7 +29,6 @@ import functools
 import math
 from fractions import Fraction
 
-import mpmath
 from mpmath import iv
 
 
@@ -112,6 +112,22 @@ def totient(n: int) -> int:
 
 
 @functools.cache
+def cyclotomic(n: int):
+    """Phi_n: x^n - 1 divided by Phi_d for every proper divisor d of n.
+
+    >>> cyclotomic(1)
+    (-1, 1)
+    >>> cyclotomic(6)
+    (1, -1, 1)
+    """
+    out = (-1,) + (0,) * (n - 1) + (1,)
+    for d in range(1, n):
+        if n % d == 0:
+            out, _ = poly_divmod_monic(out, cyclotomic(d))
+    return out
+
+
+@functools.cache
 def minimal_polynomial(N: int):
     """Monic integer minimal polynomial of 2 cos(pi/N), low degree first.
 
@@ -125,28 +141,12 @@ def minimal_polynomial(N: int):
     if N < 1:
         raise ValueError("modulus must be >= 1")
     if N == 1:
-        return (2, 1)  # 2 cos(pi) = -2
-    degree = totient(2 * N) // 2
-    with mpmath.workprec(256):
-        coeffs = [mpmath.mpf(1)]
-        for k in range(1, N):
-            if math.gcd(k, 2 * N) != 1:
-                continue
-            root = 2 * mpmath.cos(mpmath.pi * k / N)
-            coeffs = [mpmath.mpf(0)] + coeffs
-            for j in range(len(coeffs) - 1):
-                coeffs[j] -= root * coeffs[j + 1]
-        ints = []
-        for c in coeffs:
-            r = mpmath.nint(c)
-            if abs(c - r) > mpmath.mpf(2) ** -60:
-                raise AssertionError(f"non-integer coefficient for Psi_{N}")
-            ints.append(int(r))
-    psi = poly_trim(ints)
-    # certify exactly: right degree, monic, and Psi_N | p_N + 2 over Z
-    assert len(psi) == degree + 1 and psi[-1] == 1
-    _, rem = poly_divmod_monic(poly_add(chebyshev_like(N), (2,)), psi)
-    assert rem == (), f"Psi_{N} failed the Chebyshev divisibility check"
+        return (2, 1)  # 2 cos(pi) = -2; Phi_2 = z + 1 has odd degree
+    phi = cyclotomic(2 * N)
+    d = len(phi) // 2
+    psi = (phi[d],)
+    for k in range(1, d + 1):
+        psi = poly_add(psi, tuple(phi[d + k] * c for c in chebyshev_like(k)))
     return psi
 
 

@@ -22,16 +22,12 @@ from __future__ import annotations
 
 import dataclasses
 
+from .elements import StepBudgetExceeded  # re-exported
 from .elements import canonical_word, element_from_word, longest_element
 from .graphs import CoxeterGraph, is_infinite, is_spherical
 
 DEFAULT_STEP_BOUND = 10_000
 SPHERICAL_STEP_BOUND = 2_000_000
-
-
-class StepBudgetExceeded(RuntimeError):
-    """A search ran out of budget before settling: word reversing, or the
-    element enumerations of ``fixed_submonoid_check``."""
 
 
 def default_step_bound(g: CoxeterGraph) -> int:

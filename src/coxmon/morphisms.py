@@ -688,17 +688,21 @@ def fixed_submonoid_check(
         raise ValueError(f"length_bound must be >= 0, got {length_bound}")
     group = generated_permutation_group(g, generators)
     p = orbit_partition(g, generators)
+    # levels (dicts keyed by normal form) and frontiers (lists) keep
+    # insertion order, so the work done does not follow the string hash seed
     fixed = [set() for _ in range(length_bound + 1)]
-    level = {braid_identity(g)}
+    one = braid_identity(g)
+    level = {one.factors: one}
     for L in range(length_bound + 1):
-        for x in level:
+        for x in level.values():
             if all(_relabel_braid(x, a).factors == x.factors for a in group):
                 fixed[L].add(x.factors)
         if L < length_bound:
-            nxt = set()
-            for x in level:
+            nxt = {}
+            for x in level.values():
                 for v in g.vertices:
-                    nxt.add(multiply(x, braid_from_word(g, (v,))))
+                    y = multiply(x, braid_from_word(g, (v,)))
+                    nxt.setdefault(y.factors, y)
                     if len(nxt) > budget:
                         raise StepBudgetExceeded(
                             f"fixed-point enumeration passed {budget} elements"
@@ -706,8 +710,8 @@ def fixed_submonoid_check(
             level = nxt
     gens = [lift(longest_element(g, b)) for b in p.blocks]
     reached = [set() for _ in range(length_bound + 1)]
-    reached[0].add(braid_identity(g).factors)
-    frontier = {0: {braid_identity(g)}}
+    reached[0].add(one.factors)
+    frontier = {0: [one]}
     for L in range(length_bound + 1):
         for x in frontier.get(L, ()):
             for r in gens:
@@ -716,7 +720,7 @@ def fixed_submonoid_check(
                     y = multiply(x, r)
                     if y.factors not in reached[nl]:
                         reached[nl].add(y.factors)
-                        frontier.setdefault(nl, set()).add(y)
+                        frontier.setdefault(nl, []).append(y)
                         if len(reached[nl]) > budget:
                             raise StepBudgetExceeded(
                                 f"submonoid enumeration passed {budget} elements"

@@ -220,9 +220,10 @@ class AdmissibilityVerdict:
     details: tuple = ()  # ((name_a, name_b), pair verdict) for partitions
 
     def __post_init__(self):
-        assert self.outcome in ("admissible", "not_admissible", "unknown")
-        if self.outcome == "not_admissible":
-            assert self.witness is not None, "refusals must carry a witness"
+        if self.outcome not in ("admissible", "not_admissible", "unknown"):
+            raise ValueError(f"unknown outcome {self.outcome!r}")
+        if self.outcome == "not_admissible" and self.witness is None:
+            raise ValueError("refusals must carry a witness")
 
     @property
     def is_admissible(self) -> bool:
@@ -271,6 +272,15 @@ def _scan_alternating(gr: CoxeterGraph, alpha, beta, n_max: int):
     return None, products
 
 
+def _refusal(g: CoxeterGraph, witness, bound: int, pair, reason: str):
+    """A not_admissible verdict, once its witness replays from scratch."""
+    if not replay_witness(g, witness):
+        raise RuntimeError(f"witness {witness} does not replay")
+    return AdmissibilityVerdict(
+        "not_admissible", bound, reason=reason, witness=witness, pair=pair
+    )
+
+
 def check_pair(
     g: CoxeterGraph, alpha, beta, bound: int = DEFAULT_BOUND
 ) -> AdmissibilityVerdict:
@@ -302,37 +312,28 @@ def check_pair(
     for first, x, y in (("alpha", alpha, beta), ("beta", beta, alpha)):
         i0 = _isolated_vertex(gr, x, y)
         if i0 is not None:
-            witness = IncompatibleWord(alpha, beta, 3, first)
-            assert replay_witness(g, witness)
-            return AdmissibilityVerdict(
-                "not_admissible",
-                bound,
-                reason=f"vertex {i0} has only label-2 edges into the other block",
-                witness=witness,
-                pair=pair,
+            return _refusal(
+                g, IncompatibleWord(alpha, beta, 3, first), bound, pair,
+                f"vertex {i0} has only label-2 edges into the other block",
             )
 
-    spherical = is_spherical(gr)
+    # (iii)/(iv): with the order m in hand, compatibility up to m decides;
+    # (v) order out of reach: scan to the bound, then look for a certificate
     m = pair_order(gr, alpha, beta, bound)
-
+    witness, products = _scan_alternating(gr, alpha, beta, bound if m is None else m)
+    if witness is not None:
+        order = "" if m is None else f" (order of r_a r_b is {m})"
+        return _refusal(
+            g, witness, bound, pair,
+            f"alternating word of length {witness.n} is incompatible{order}",
+        )
     if m is not None:
-        # (iii)/(iv): finite order in hand; compatibility up to m decides
-        witness, products = _scan_alternating(gr, alpha, beta, m)
-        if witness is not None:
-            assert replay_witness(g, witness)
-            return AdmissibilityVerdict(
-                "not_admissible",
-                bound,
-                reason=f"alternating word of length {witness.n} is incompatible"
-                f" (order of r_a r_b is {m})",
-                witness=witness,
-                pair=pair,
-            )
-        if spherical:
-            # the compatible products of m factors must both be the longest
-            # element of the carrier
+        # over a spherical carrier the compatible products of m factors
+        # must both be its longest element
+        if is_spherical(gr):
             w0 = longest_element(gr, carrier)
-            assert products["alpha"] == w0 and products["beta"] == w0
+            if products["alpha"] != w0 or products["beta"] != w0:
+                raise RuntimeError(f"alternating products of {pair} are not w0")
         return AdmissibilityVerdict(
             "admissible",
             bound,
@@ -341,17 +342,6 @@ def check_pair(
             pair=pair,
         )
 
-    # (v) order out of reach: scan to the bound, then look for a certificate
-    witness, _ = _scan_alternating(gr, alpha, beta, bound)
-    if witness is not None:
-        assert replay_witness(g, witness)
-        return AdmissibilityVerdict(
-            "not_admissible",
-            bound,
-            reason=f"alternating word of length {witness.n} is incompatible",
-            witness=witness,
-            pair=pair,
-        )
     cert = _orbit_certificate(gr, (alpha, beta))
     if cert is not None:
         return AdmissibilityVerdict(

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from coxmon import cli
 from coxmon.cli import main
 
 
@@ -217,6 +218,19 @@ def test_usage_errors(capsys):
     code, _, err = run(capsys, "check-partition", "Q9", "bipartite")
     assert code == 3
     assert "error" in err
+
+
+def test_internal_error_exits_undecided(capsys, monkeypatch):
+    # a crash decides nothing: exit 2 with the traceback, never 1 (which
+    # certifies a negative)
+    def crash(args):
+        raise RuntimeError("internal failure")
+
+    monkeypatch.setattr(cli, "cmd_orbits", crash)
+    code, out, err = run(capsys, "orbits", "D4")
+    assert code == 2
+    assert out == ""
+    assert "Traceback" in err and "RuntimeError: internal failure" in err
 
 
 def test_console_entry_point():

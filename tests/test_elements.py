@@ -24,7 +24,7 @@ from coxmon.elements import pick_backend
 
 # group orders of small spherical types: |W| = product of (exponents + 1),
 # cross-checked below by breadth-first enumeration
-GROUP_ORDERS = {"A3": 24, "B3": 48, "A4": 120, "H3": 120, "D4": 192}
+GROUP_ORDERS = {"A3": 24, "B3": 48, "A4": 120, "H3": 120, "D4": 192, "I2(5)": 10}
 
 
 def enumerate_group(g, backend=None):
@@ -51,8 +51,9 @@ def test_group_orders_by_enumeration():
 
 def test_backends_agree_elementwise():
     # same groups through the permutation action and through the exact
-    # reflection matrices: identical canonical words, lengths and orders
-    for name in ("A3", "B3"):
+    # reflection matrices: identical canonical words, lengths and orders,
+    # over the rationals (A3, B3) and over Q(sqrt 5) (H3, I2(5))
+    for name in ("A3", "B3", "H3", "I2(5)"):
         g = named_graph(name)
         perm = enumerate_group(g, "perm")
         mat = enumerate_group(g, "matrix")

@@ -9,8 +9,11 @@ import coxmon.exact
 from coxmon import INFINITY
 from coxmon.exact import (
     chebyshev_like,
+    cyclotomic,
     field_for_modulus,
     minimal_polynomial,
+    poly_add,
+    poly_divmod_monic,
     poly_mul,
     totient,
 )
@@ -19,6 +22,26 @@ from coxmon.exact import (
 def test_doctests():
     results = doctest.testmod(coxmon.exact)
     assert results.failed == 0 and results.attempted > 0
+    # the examples of the cached functions are found through their wrappers
+    found = {t.name for t in doctest.DocTestFinder().find(coxmon.exact) if t.examples}
+    assert {"coxmon.exact.cyclotomic", "coxmon.exact.minimal_polynomial"} <= found
+
+
+def test_cyclotomic_polynomials_multiply_to_x_n_minus_1():
+    for n in range(1, 61):
+        prod = (1,)
+        for d in range(1, n + 1):
+            if n % d == 0:
+                prod = poly_mul(prod, cyclotomic(d))
+        assert prod == (-1,) + (0,) * (n - 1) + (1,), n
+        assert len(cyclotomic(n)) - 1 == totient(n), n
+
+
+def test_minimal_polynomial_divides_chebyshev():
+    # 2 cos(pi/N) is a root of p_N + 2, since p_N(2 cos t) = 2 cos(N t)
+    for N in range(1, 121):
+        rem = poly_divmod_monic(poly_add(chebyshev_like(N), (2,)), minimal_polynomial(N))[1]
+        assert rem == (), N
 
 
 # minimal polynomials of 2 cos(pi/N) for small N, from the classical tables

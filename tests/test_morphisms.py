@@ -1,3 +1,8 @@
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from coxmon import (
@@ -343,3 +348,32 @@ def test_fixed_submonoid_rejects_negative_length_bound():
         fixed_submonoid_check(
             named_graph("A3"), [{"1": "3", "3": "1", "2": "2"}], -1
         )
+
+
+_COUNT_PERM_STEPS = """
+from coxmon import fixed_submonoid_check, named_graph
+from coxmon.elements import RootPermElement
+
+calls = [0]
+for name in ("gen_left", "gen_right"):
+    def counted(self, v, _f=getattr(RootPermElement, name)):
+        calls[0] += 1
+        return _f(self, v)
+    setattr(RootPermElement, name, counted)
+rep = fixed_submonoid_check(named_graph("A3"), [{"1": "3", "3": "1", "2": "2"}], 6)
+print(calls[0], rep.fixed_counts)
+"""
+
+
+def test_fixed_submonoid_work_does_not_follow_the_hash_seed():
+    # the enumeration visits braids in insertion order, so the same
+    # permutation steps are made whatever the string hash seed
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    outputs = set()
+    for seed in ("1", "2", "3"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", _COUNT_PERM_STEPS],
+                              env=env, capture_output=True, text=True, check=True)
+        outputs.add(proc.stdout)
+    assert len(outputs) == 1, outputs

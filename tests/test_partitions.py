@@ -4,6 +4,7 @@ import pytest
 
 from coxmon import (
     INFINITY,
+    AdmissibilityVerdict,
     ExhaustiveFiniteCertificate,
     IncompatibleWord,
     LiftCertificate,
@@ -89,6 +90,19 @@ def test_check_pair_not_admissible_with_replayable_witness():
     assert v.outcome == "not_admissible"
     assert isinstance(v.witness, IncompatibleWord)
     assert replay_witness(g, v.witness)
+
+
+def test_verdict_invariants_hold_without_assert():
+    # an unknown outcome and a refusal without a witness are rejected on
+    # construction, also under python -O
+    with pytest.raises(ValueError):
+        AdmissibilityVerdict("maybe", 8)
+    with pytest.raises(ValueError):
+        AdmissibilityVerdict("not_admissible", 8, reason="no witness")
+    witness = IncompatibleWord(("1",), ("2", "3"), 3, "alpha")
+    v = AdmissibilityVerdict("not_admissible", 8, witness=witness)
+    assert v.witness == witness and not v.is_admissible
+    assert AdmissibilityVerdict("unknown", 8).outcome == "unknown"
 
 
 def test_check_pair_unknown_when_nothing_settles():
