@@ -7,8 +7,11 @@ a_j + 2 cos(pi/m_{ij}) a_i for j != i, and a_i to -a_i.
 * Spherical graph: the root system is finite, and the action on roots is a
   faithful permutation action.  ``RootPermElement`` stores the image of all
   2P roots as a tuple of indices, where index r < P is a positive root and
-  index r + P is its negation.  Composition is tuple indexing; the length
-  of w is the number of positive roots sent to negative roots.
+  index r + P is its negation.  Composition is tuple indexing through
+  ``operator.itemgetter`` (one stored getter per generator row); the length
+  of w is the number of positive roots sent to negative roots, and v is a
+  left descent exactly when w sends a negative root to a_v, which is read
+  off the permutation without building the inverse.
 
 * Any graph: ``MatrixElement`` stores the representation matrix with
   ExactScalar entries; column j holds the coordinates of w(a_j).  A
@@ -28,6 +31,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+from operator import itemgetter
 
 from .exact import field_for_modulus
 from .graphs import (
@@ -67,6 +71,8 @@ class RootSystem:
     n_positive: int
     simple_index: dict    # vertex -> root index of its simple root
     action: tuple         # action[a][r] = index of s_{v_a}(root r)
+    getters: tuple        # getters[a](perm) = perm composed with action[a]
+    identity: tuple       # the identity permutation of the 2P roots
 
 
 def _reflect(cos_row, a: int, vec):
@@ -111,10 +117,27 @@ def root_system(g: CoxeterGraph) -> RootSystem:
                 for r, k in enumerate(order)]
         action.append(tuple(half + [(x + P) % (2 * P) for x in half]))
     simple_index = {v: pos[a] for a, v in enumerate(g.vertices)}
-    return RootSystem(P, simple_index, tuple(action))
+    return RootSystem(P, simple_index, tuple(action),
+                      tuple(itemgetter(*row) for row in action), tuple(range(2 * P)))
 
 
 # -- permutation backend ---------------------------------------------------
+
+
+class _cached:
+    """``functools.cached_property`` without its lock (which 3.11 takes on
+    every first access): the value goes into the instance ``__dict__`` and
+    shadows this non-data descriptor from then on."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.name = fn.__name__
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
 
 
 @dataclasses.dataclass(frozen=True)
@@ -124,43 +147,48 @@ class RootPermElement:
     rs: RootSystem = dataclasses.field(compare=False, repr=False)
 
     def __mul__(self, other: "RootPermElement") -> "RootPermElement":
-        assert other.graph == self.graph
-        sp = self.perm
-        return RootPermElement(self.graph, tuple(sp[x] for x in other.perm), self.rs)
+        if other.graph != self.graph:
+            raise ValueError("product of elements over different graphs")
+        perm = itemgetter(*other.perm)(self.perm) if other.perm else ()
+        return RootPermElement(self.graph, perm, self.rs)
 
     def gen_left(self, v: str) -> "RootPermElement":
         row = self.rs.action[self.graph._index[v]]
-        return RootPermElement(self.graph, tuple(row[x] for x in self.perm), self.rs)
+        return RootPermElement(self.graph, itemgetter(*self.perm)(row), self.rs)
 
     def gen_right(self, v: str) -> "RootPermElement":
-        row = self.rs.action[self.graph._index[v]]
-        return RootPermElement(self.graph, tuple(self.perm[x] for x in row), self.rs)
+        get = self.rs.getters[self.graph._index[v]]
+        return RootPermElement(self.graph, get(self.perm), self.rs)
 
     @property
     def is_identity(self) -> bool:
-        return all(x == r for r, x in enumerate(self.perm))
+        return self.perm == self.rs.identity
 
-    @functools.cached_property
+    @_cached
     def length(self) -> int:
         P = self.rs.n_positive
         return sum(1 for r in range(P) if self.perm[r] >= P)
 
-    @functools.cached_property
+    @_cached
     def inverse(self) -> "RootPermElement":
         inv = [0] * len(self.perm)
         for r, x in enumerate(self.perm):
             inv[x] = r
         return RootPermElement(self.graph, tuple(inv), self.rs)
 
-    @functools.cached_property
+    @_cached
     def right_descents(self) -> frozenset:
         P = self.rs.n_positive
         si = self.rs.simple_index
         return frozenset(v for v in self.graph.vertices if self.perm[si[v]] >= P)
 
-    @functools.cached_property
+    @_cached
     def left_descents(self) -> frozenset:
-        return self.inverse.right_descents
+        # v is a left descent iff w^{-1}(a_v) is negative
+        P = self.rs.n_positive
+        si = self.rs.simple_index
+        index = self.perm.index
+        return frozenset(v for v in self.graph.vertices if index(si[v]) >= P)
 
     def order(self, bound: int = DEFAULT_ORDER_BOUND) -> int:
         """Exact order: the action on roots is faithful, so this is the lcm
@@ -187,7 +215,8 @@ class MatrixElement:
     matrix: tuple  # tuple of rows of ExactScalar; column j = image of a_j
 
     def __mul__(self, other: "MatrixElement") -> "MatrixElement":
-        assert other.graph == self.graph
+        if other.graph != self.graph:
+            raise ValueError("product of elements over different graphs")
         n = self.graph.rank
         zero = field_for_modulus(self.graph.modulus).zero
         a, b = self.matrix, other.matrix
@@ -320,7 +349,7 @@ def identity_element(g: CoxeterGraph, backend: str | None = None):
     serves to compare the two routes."""
     if pick_backend(g, backend) == "perm":
         rs = root_system(g)
-        return RootPermElement(g, tuple(range(2 * rs.n_positive)), rs)
+        return RootPermElement(g, rs.identity, rs)
     field = field_for_modulus(g.modulus)
     n = g.rank
     return MatrixElement(g, tuple(

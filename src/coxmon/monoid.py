@@ -126,7 +126,8 @@ def braid_from_word(g: CoxeterGraph, letters) -> PosBraid:
 
 
 def multiply(x: PosBraid, y: PosBraid) -> PosBraid:
-    assert x.graph == y.graph
+    if x.graph != y.graph:
+        raise ValueError("product of braids over different graphs")
     return normalize(x.graph, x.factors + y.factors)
 
 
@@ -224,19 +225,24 @@ def reverse_complement(g: CoxeterGraph, u, v, step_bound: int | None = None):
     a = b).  When no negative-positive pair remains, the word reads
     (u\\v)(v\\u)^{-1}.  Raises StepBudgetExceeded after step_bound steps
     (default: ``default_step_bound(g)``).
+
+    After a rewrite at position k the pairs left of k - 1 are unchanged,
+    and none of them was negative-positive, so the scan for the next
+    leftmost pair resumes at k - 1 (Dehornoy, "Complete positive group
+    presentations", J. Algebra 268, 2003); the rewrite of each letter pair
+    is built once per call.
     """
     if step_bound is None:
         step_bound = default_step_bound(g)
     word = [(a, -1) for a in reversed(tuple(u))] + [(b, +1) for b in tuple(v)]
     steps = 0
-    # scan pointer: everything left of k is sorted (positives then negatives)
+    rewrites = {}  # (a, b) -> the signed word replacing a^{-1} b
+    k = 0  # no negative-positive pair starts left of k
     while True:
-        k = None
-        for p in range(len(word) - 1):
-            if word[p][1] < 0 and word[p + 1][1] > 0:
-                k = p
-                break
-        if k is None:
+        end = len(word) - 1
+        while k < end and not (word[k][1] < 0 and word[k + 1][1] > 0):
+            k += 1
+        if k >= end:
             pos = [a for a, s in word if s > 0]
             neg = [a for a, s in word if s < 0]
             return tuple(pos), tuple(reversed(neg))
@@ -244,15 +250,19 @@ def reverse_complement(g: CoxeterGraph, u, v, step_bound: int | None = None):
         if steps > step_bound:
             raise StepBudgetExceeded(f"word reversing passed {step_bound} steps")
         a, b = word[k][0], word[k + 1][0]
-        if a == b:
-            del word[k:k + 2]
-            continue
-        m = g.m(a, b)
-        if is_infinite(m):
-            return None
-        head = [(c, +1) for c in _alternating(b, a, m - 1)]
-        tail = [(c, -1) for c in reversed(_alternating(a, b, m - 1))]
-        word[k:k + 2] = head + tail
+        rewrite = rewrites.get((a, b))
+        if rewrite is None:
+            if a == b:
+                rewrite = []
+            else:
+                m = g.m(a, b)
+                if is_infinite(m):
+                    return None
+                rewrite = ([(c, +1) for c in _alternating(b, a, m - 1)]
+                           + [(c, -1) for c in reversed(_alternating(a, b, m - 1))])
+            rewrites[a, b] = rewrite
+        word[k:k + 2] = rewrite
+        k = max(k - 1, 0)
 
 
 def lcm(
@@ -276,7 +286,8 @@ def lcm(
     if comp is None:
         return None
     out = multiply(x, braid_from_word(x.graph, comp[0]))
-    assert divides(x, out, "left") and divides(y, out, "left")  # cheap sanity
+    if not (divides(x, out, "left") and divides(y, out, "left")):  # cheap sanity
+        raise RuntimeError("word reversing gave a multiple that one side does not divide")
     return out
 
 

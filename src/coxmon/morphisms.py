@@ -120,7 +120,8 @@ def build_morphism(
 
 def apply_morphism(m: AdmissibleMorphism, x: PosBraid) -> PosBraid:
     """Image of a source braid: replace every letter of every factor."""
-    assert x.graph == m.source
+    if x.graph != m.source:
+        raise ValueError("braid is not over the source graph of the morphism")
     out = braid_identity(m.target)
     for f in x.factors:
         for name in canonical_word(f):

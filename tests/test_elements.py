@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from coxmon import (
+    CoxeterGraph,
     canonical_word,
     coxeter_number,
     descents,
@@ -208,3 +209,20 @@ def test_orders_divide_group_order():
     g = named_graph("B3")
     for w in enumerate_group(g):
         assert GROUP_ORDERS["B3"] % order_of(w) == 0
+
+
+def test_permutation_kernel_identities():
+    # left descents read off the permutation, identity by tuple equality,
+    # and the itemgetter products, against their definitions
+    for name in ("A3", "B3", "H3", "I2(5)"):
+        g = named_graph(name)
+        for w in enumerate_group(g, "perm"):
+            assert w.left_descents == w.inverse.right_descents
+            assert (w * w.inverse).is_identity
+            assert w.is_identity == (w.length == 0)
+            for v in g.vertices:
+                assert w.gen_right(v) == w * generator(g, v)
+                assert w.gen_left(v) == generator(g, v) * w
+    # the rank-0 group: empty permutations still compose
+    e = identity_element(CoxeterGraph((), ()))
+    assert (e * e).is_identity and not e.left_descents

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from coxmon import (
+    CoxeterGraph,
     PosBraid,
     StepBudgetExceeded,
     braid_from_json,
@@ -22,6 +23,7 @@ from coxmon import (
     multiply,
     named_graph,
 )
+from coxmon.monoid import reverse_complement
 from oracles import (
     canon,
     elements_up_to,
@@ -260,3 +262,69 @@ def test_multiplication_associates(u, v, w):
     g = named_graph("A3")
     x, y, z = (braid_from_word(g, t) for t in (u, v, w))
     assert multiply(multiply(x, y), z) == multiply(x, multiply(y, z))
+
+
+# -- word reversing against a rescan-from-the-start copy ----------------------
+
+
+def _reverse_rescanning(g, u, v, step_bound):
+    """The reversing loop that looks for the leftmost negative-positive pair
+    from index 0 after every rewrite: ((u\\v, v\\u) or None, steps used)."""
+    word = [(a, -1) for a in reversed(u)] + [(b, +1) for b in v]
+    steps = 0
+    while True:
+        k = None
+        for p in range(len(word) - 1):
+            if word[p][1] < 0 and word[p + 1][1] > 0:
+                k = p
+                break
+        if k is None:
+            pos = tuple(a for a, s in word if s > 0)
+            neg = tuple(a for a, s in word if s < 0)
+            return (pos, neg[::-1]), steps
+        steps += 1
+        if steps > step_bound:
+            raise StepBudgetExceeded(f"passed {step_bound} steps")
+        a, b = word[k][0], word[k + 1][0]
+        if a == b:
+            del word[k:k + 2]
+            continue
+        m = g.m(a, b)
+        if m == float("inf"):
+            return None, steps
+        head = [((b, a)[j % 2], +1) for j in range(m - 1)]
+        tail = [((a, b)[j % 2], -1) for j in range(m - 1)][::-1]
+        word[k:k + 2] = head + tail
+
+
+def test_reversing_matches_the_rescanning_loop():
+    # same complements, and the same least budget: one step fewer raises
+    cap = 2_000
+    atilde2 = CoxeterGraph.from_edges("123", [("1", "2", 3), ("2", "3", 3), ("1", "3", 3)])
+    graphs = [named_graph(n) for n in ("A3", "B3", "H3", "I2(5)", "I2(inf)")] + [atilde2]
+    rng = random.Random(11)
+    for g in graphs:
+        for _ in range(40):
+            u, v = ([rng.choice(g.vertices) for _ in range(rng.randint(0, 8))]
+                    for _ in range(2))
+            try:
+                expected, n = _reverse_rescanning(g, u, v, cap)
+            except StepBudgetExceeded:
+                with pytest.raises(StepBudgetExceeded):
+                    reverse_complement(g, u, v, cap)
+                continue
+            assert reverse_complement(g, u, v, n) == expected, (g, u, v)
+            if n:
+                with pytest.raises(StepBudgetExceeded):
+                    _reverse_rescanning(g, u, v, n - 1)
+                with pytest.raises(StepBudgetExceeded):
+                    reverse_complement(g, u, v, n - 1)
+
+
+def test_products_over_different_graphs_are_refused():
+    x = braid_from_word(named_graph("A3"), "12")
+    y = braid_from_word(named_graph("B3"), "12")
+    with pytest.raises(ValueError):
+        multiply(x, y)
+    with pytest.raises(ValueError):
+        x.factors[0] * y.factors[0]

@@ -69,6 +69,9 @@ def test_apply_morphism_is_multiplicative():
     assert fx == multiply(
         multiply(m.image_of_atom("1"), m.image_of_atom("2")), m.image_of_atom("1")
     )
+    # a braid over another graph is refused, also under python -O
+    with pytest.raises(ValueError):
+        apply_morphism(m, braid_from_word(g, "1"))
 
 
 def test_full_verification_on_small_spherical_targets():

@@ -1,5 +1,5 @@
 """Validation must not depend on ``assert``: run the exact, element,
-partition, monoid and CLI tests again under ``python -O``, which strips
+partition, monoid, morphism and CLI tests again under ``python -O``, which strips
 assert statements from the library (pytest still rewrites the asserts of
 the test modules)."""
 
@@ -18,7 +18,7 @@ def test_suite_subset_passes_under_optimize():
     proc = subprocess.run(
         [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
          "tests/test_exact.py", "tests/test_elements.py", "tests/test_partitions.py",
-         "tests/test_monoid.py", "tests/test_cli.py"],
+         "tests/test_monoid.py", "tests/test_morphisms.py", "tests/test_cli.py"],
         cwd=ROOT, env=env, capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stdout[-4000:] + proc.stderr[-2000:]
