@@ -8,16 +8,25 @@ integer polynomial p_k(x) = 2 T_k(x/2) (Chebyshev):
 
     p_0 = 2,  p_1 = x,  p_{k+1} = x p_k - p_{k-1}.
 
-A scalar is a polynomial in theta with Fraction coefficients, reduced mod
+A scalar is a polynomial in theta with rational coefficients, reduced mod
 the minimal polynomial Psi_N of theta, of degree d = phi(2N)/2 (N >= 2).
+Every scalar the library builds is an algebraic integer in Z[theta]: Psi_N
+is monic with integer coefficients and 2 cos(pi/m) = p_{N/m}(theta), so the
+coefficients are plain ints, and reduction mod Psi_N keeps them ints.  A
+``Fraction`` appears only where a caller passes a non-integral rational.
 Psi_N is built exactly from the cyclotomic polynomial Phi_2N of
 z = e^(i pi/N): Phi_2N(z) = z^d Psi_N(z + 1/z) (Watkins-Zeitlin 1993), and
 z^k + z^-k = p_k(z + 1/z), so the upper half of the coefficients of Phi_2N
 gives Psi_N in the basis p_k.  No numerics, nothing left to certify.
 
 Zero testing is exact (reduced coefficients all zero).  The *sign* of a
-nonzero scalar is determined by interval arithmetic (mpmath.iv) at doubling
-precision — the exact zero test guarantees termination.
+nonzero scalar is read off integer enclosures at doubling precision p: a
+cached table per (N, p) holds integers lo_k <= 2^p theta^k <= hi_k (k < d),
+built once with interval arithmetic (mpmath.iv) and converted exactly from
+the endpoints' mantissas and exponents.  Scaled to integer coefficients c_k,
+the scalar times 2^p lies between two integer sums of c_k lo_k and c_k hi_k;
+when both sums have one sign, that is the sign.  The exact zero test
+guarantees termination.
 
 Polynomials here are tuples of coefficients, lowest degree first, trimmed.
 """
@@ -70,7 +79,8 @@ def poly_divmod_monic(a, b):
     >>> poly_divmod_monic((-2, 0, 1), (1, 1))   # (x^2-2) / (x+1)
     ((-1, 1), (-1,))
     """
-    assert b and b[-1] == 1
+    if not b or b[-1] != 1:
+        raise ValueError("divisor must be monic")
     a = list(a)
     q = [0] * max(0, len(a) - len(b) + 1)
     for k in range(len(a) - len(b), -1, -1):
@@ -165,10 +175,10 @@ class CosField:
         return len(self.psi) - 1
 
     def scalar(self, coeffs) -> "ExactScalar":
-        c = tuple(Fraction(x) for x in coeffs)
+        c = tuple(map(_rational, coeffs))
         if len(c) >= len(self.psi):
             _, c = poly_divmod_monic(c, self.psi)
-        c = c + (Fraction(0),) * (self.degree - len(c))
+        c = c + (0,) * (self.degree - len(c))
         return ExactScalar(self, c)
 
     @property
@@ -196,17 +206,56 @@ class CosField:
         return self.scalar(chebyshev_like(self.modulus // m))
 
 
+def _rational(x):
+    """x as an int when it is integral, else as a Fraction."""
+    if type(x) is int:
+        return x
+    q = Fraction(x)
+    return q.numerator if q.denominator == 1 else q
+
+
 @functools.cache
 def field_for_modulus(N: int) -> CosField:
     return CosField(N, minimal_polynomial(N))
 
 
+def _floor_shift(man: int, exp: int) -> int:
+    """floor(man * 2^exp), exactly."""
+    return man << exp if exp >= 0 else man >> -exp
+
+
+@functools.cache
+def _power_bounds(N: int, p: int) -> tuple:
+    """Integers (lo_k, hi_k) with lo_k <= 2^p theta^k <= hi_k for k < d.
+
+    The powers are enclosed by mpmath.iv with d + 32 guard bits (theta^k <
+    2^k), and each endpoint (sign, mantissa, exponent) converts exactly:
+    never through a float or the 53-bit ``mp`` context."""
+    d = field_for_modulus(N).degree
+    old = iv.prec
+    try:
+        iv.prec = p + d + 32
+        theta = 2 * iv.cos(iv.pi / N)
+        power = iv.mpf(1)
+        out = []
+        for _ in range(d):
+            (sa, ma, ea, _), (sb, mb, eb, _) = power._mpi_
+            lo = _floor_shift(-ma if sa else ma, ea + p)
+            hi = -_floor_shift(mb if sb else -mb, eb + p)
+            out.append((lo, hi))
+            power = power * theta
+    finally:
+        iv.prec = old
+    return tuple(out)
+
+
 @dataclasses.dataclass(frozen=True)
 class ExactScalar:
-    """An element of a CosField: fixed-length Fraction coefficient tuple."""
+    """An element of a CosField: its fixed-length coefficient tuple (ints,
+    or Fractions where a caller passed non-integral rationals)."""
 
     field: CosField
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple[int | Fraction, ...]
 
     def _check(self, other) -> "ExactScalar":
         if isinstance(other, ExactScalar):
@@ -244,7 +293,7 @@ class ExactScalar:
         prod = poly_mul(self.coeffs, o.coeffs)
         if len(prod) >= len(self.field.psi):
             _, prod = poly_divmod_monic(prod, self.field.psi)
-        prod = prod + (Fraction(0),) * (self.field.degree - len(prod))
+        prod = prod + (0,) * (self.field.degree - len(prod))
         return ExactScalar(self.field, prod)
 
     __rmul__ = __mul__
@@ -253,33 +302,36 @@ class ExactScalar:
         return not any(self.coeffs)
 
     def __bool__(self) -> bool:
-        return not self.is_zero()
+        return any(self.coeffs)
 
     def sign(self) -> int:
-        """-1, 0 or +1; exact zero test first, then intervals."""
+        """-1, 0 or +1; exact zero test first, then integer enclosures."""
         nonzero = [c for c in self.coeffs if c]
         if not nonzero:
             return 0
         if len(nonzero) == 1 and self.coeffs[0]:
             return 1 if self.coeffs[0] > 0 else -1  # rational fast path
+        coeffs = self.coeffs
+        if any(type(c) is not int for c in nonzero):
+            den = math.lcm(*(c.denominator for c in nonzero))
+            coeffs = [int(c * den) for c in coeffs]
         N = self.field.modulus
-        prec = 64
-        while prec <= (1 << 16):
-            old = iv.prec
-            try:
-                iv.prec = prec
-                theta = 2 * iv.cos(iv.pi / N)
-                acc = iv.mpf(0)
-                for c in reversed(self.coeffs):
-                    acc = acc * theta + iv.mpf(c.numerator) / c.denominator
-                if acc > 0:
-                    return 1
-                if acc < 0:
-                    return -1
-            finally:
-                iv.prec = old
-            prec *= 2
-        raise AssertionError("sign undecided at maximum precision (nonzero scalar)")
+        p = 64
+        while p <= (1 << 16):
+            lo = hi = 0
+            for c, (a, b) in zip(coeffs, _power_bounds(N, p)):
+                if c > 0:
+                    lo += c * a
+                    hi += c * b
+                elif c:
+                    lo += c * b
+                    hi += c * a
+            if lo > 0:
+                return 1
+            if hi < 0:
+                return -1
+            p *= 2
+        raise RuntimeError("sign undecided at maximum precision (nonzero scalar)")
 
     def __repr__(self):
         return f"ExactScalar(N={self.field.modulus}, {list(self.coeffs)})"

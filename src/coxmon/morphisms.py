@@ -58,6 +58,7 @@ from .monoid import (
     lcm_atoms,
     lift,
     multiply,
+    normalize,
 )
 from .partitions import (
     DEFAULT_BOUND,
@@ -119,14 +120,14 @@ def build_morphism(
 
 
 def apply_morphism(m: AdmissibleMorphism, x: PosBraid) -> PosBraid:
-    """Image of a source braid: replace every letter of every factor."""
+    """Image of a source braid: replace every letter of every factor, and
+    normalize the product of all the atom images' factors once."""
     if x.graph != m.source:
         raise ValueError("braid is not over the source graph of the morphism")
-    out = braid_identity(m.target)
-    for f in x.factors:
-        for name in canonical_word(f):
-            out = multiply(out, m.image_of_atom(name))
-    return out
+    return normalize(m.target, [
+        simple for f in x.factors for name in canonical_word(f)
+        for simple in m.image_of_atom(name).factors
+    ])
 
 
 # -- verification reports --------------------------------------------------
@@ -518,7 +519,8 @@ def _component_tag(g: CoxeterGraph, comp, fa, fb, m: int):
     types = classify_spherical(sub)
     if types is None:
         return None, "component not spherical"
-    assert len(types) == 1
+    if len(types) != 1:
+        raise RuntimeError(f"component {comp} is not irreducible")
     t = types[0]
     order = pair_order(sub, pa, pb)
     if order != m:
@@ -629,13 +631,13 @@ def compose(
     for name in inner.partition.names:
         via = apply_morphism(outer, inner.image_of_atom(name))
         direct = lift(longest_element(outer.target, lifted.block_of(name)))
-        assert via.factors == direct.factors, (
-            f"composite image of atom {name} is not the lifted longest element"
-        )
+        if via.factors != direct.factors:
+            raise RuntimeError(
+                f"composite image of atom {name} is not the lifted longest element"
+            )
     direct_verdict = check_admissible(lifted, bound)
-    assert direct_verdict.outcome != "not_admissible", (
-        "lifted partition failed the direct re-check"
-    )
+    if direct_verdict.outcome == "not_admissible":
+        raise RuntimeError("lifted partition failed the direct re-check")
     verdict = AdmissibilityVerdict(
         "admissible",
         bound,
@@ -646,8 +648,8 @@ def compose(
     ptype = partition_type(lifted, bound)
     for i, j in itertools.combinations(inner.source.vertices, 2):
         got = ptype.entry(i, j)
-        if got is not None:
-            assert got == inner.source.m(i, j), "composite type disagrees"
+        if got is not None and got != inner.source.m(i, j):
+            raise RuntimeError("composite type disagrees")
     return AdmissibleMorphism(outer.target, lifted, verdict, inner.source)
 
 

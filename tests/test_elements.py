@@ -1,9 +1,11 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, strategies as st
 
 from coxmon import (
+    INFINITY,
     CoxeterGraph,
     canonical_word,
     coxeter_number,
@@ -21,7 +23,7 @@ from coxmon import (
     tits_oracle,
     word_reduce,
 )
-from coxmon.elements import pick_backend
+from coxmon.elements import _cos_rows, pick_backend
 
 # group orders of small spherical types: |W| = product of (exponents + 1),
 # cross-checked below by breadth-first enumeration
@@ -226,3 +228,27 @@ def test_permutation_kernel_identities():
     # the rank-0 group: empty permutations still compose
     e = identity_element(CoxeterGraph((), ()))
     assert (e * e).is_identity and not e.left_descents
+
+
+def test_matrix_entries_have_int_coefficients():
+    # every scalar of the reflection representation lies in Z[theta]: the
+    # 2cos table, the identity and seeded products all keep plain int
+    # coefficients, never Fraction
+    def ints(scalars):
+        return all(type(c) is int for x in scalars for c in x.coeffs)
+
+    rng = random.Random(3)
+    labels = (2, 3, 4, 5, 6, INFINITY)
+    for _ in range(30):
+        verts = [str(k) for k in range(rng.randint(1, 4))]
+        g = CoxeterGraph.from_edges(verts, [
+            (a, b, rng.choice(labels)) for a, b in itertools.combinations(verts, 2)])
+        assert all(ints(c for _, c in row) for row in _cos_rows(g))
+        e = identity_element(g, "matrix")
+        assert all(ints(row) for row in e.matrix)
+        for _ in range(4):
+            w = e
+            for v in (rng.choice(verts) for _ in range(rng.randint(1, 8))):
+                w = w.gen_right(v) if rng.random() < 0.5 else w.gen_left(v)
+            for x in (w, w * w, w.inverse):
+                assert all(ints(row) for row in x.matrix), g

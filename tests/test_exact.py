@@ -1,13 +1,19 @@
 import doctest
+import os
+import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 import mpmath
 import pytest
 from hypothesis import given, strategies as st
+from mpmath import iv
 
 import coxmon.exact
 from coxmon import INFINITY
 from coxmon.exact import (
+    _power_bounds,
     chebyshev_like,
     cyclotomic,
     field_for_modulus,
@@ -200,3 +206,84 @@ def test_arithmetic_against_numeric(a, b):
         eps = mpmath.mpf(2) ** -80
         assert abs(_numeric(a + b) - (_numeric(a) + _numeric(b))) < eps
         assert abs(_numeric(a * b) - (_numeric(a) * _numeric(b))) < eps
+
+
+# -- sign enclosures ------------------------------------------------------
+
+
+def test_power_bounds_are_built_on_demand():
+    # importing the package fills no enclosure table
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import coxmon.exact as e; print(e._power_bounds.cache_info().currsize)"
+    out = subprocess.run([sys.executable, "-c", "import coxmon; " + code],
+                         env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "0"
+
+
+def test_power_bounds_enclose_the_powers():
+    # lo_k <= 2^p theta^k <= hi_k against 3000-bit values, with the
+    # endpoints at most one apart: exact conversion, no 53-bit rounding
+    with mpmath.workprec(3000):
+        for N in (5, 7, 12, 30, 60):
+            theta = 2 * mpmath.cos(mpmath.pi / N)
+            for p in (64, 128, 1024):
+                bounds = _power_bounds(N, p)
+                assert len(bounds) == field_for_modulus(N).degree
+                for k, (lo, hi) in enumerate(bounds):
+                    assert type(lo) is int and type(hi) is int
+                    assert lo <= mpmath.ldexp(theta ** k, p) <= hi, (N, p, k)
+                    assert 0 <= hi - lo <= 1, (N, p, k)
+
+
+def _interval_sign(x):
+    """Second route: Horner evaluation in mpmath intervals at doubling
+    precision, straight from the rational coefficients."""
+    if x.is_zero():
+        return 0
+    old = iv.prec
+    try:
+        for prec in (64 << k for k in range(11)):
+            iv.prec = prec
+            theta = 2 * iv.cos(iv.pi / x.field.modulus)
+            acc = iv.mpf(0)
+            for c in reversed(x.coeffs):
+                acc = acc * theta + iv.mpf(c.numerator) / c.denominator
+            if acc > 0:
+                return 1
+            if acc < 0:
+                return -1
+    finally:
+        iv.prec = old
+    raise RuntimeError("interval route undecided")
+
+
+@given(st.sampled_from((5, 7, 12, 30, 60)).flatmap(scalars))
+def test_sign_matches_the_interval_route(a):
+    assert a.sign() == _interval_sign(a)
+
+
+def test_sign_of_near_zero_differences():
+    # 2 cos(pi/m) minus its best rational approximations: from 40 digits
+    # on, the differences lie far below 2^-64 and force the sign test past
+    # its first precision
+    for N, m in ((60, 60), (30, 30), (12, 12), (7, 7), (60, 20)):
+        f = field_for_modulus(N)
+        with mpmath.workprec(400):
+            value = 2 * mpmath.cos(mpmath.pi / m)
+            for digits in (6, 20, 40, 60):
+                q = Fraction(mpmath.nstr(value, digits + 10))
+                d = f.two_cos(m) - f.scalar((q.limit_denominator(10 ** digits),))
+                if digits >= 40:
+                    assert abs(_numeric(d)) < mpmath.mpf(2) ** -64
+                for y in (d, -d):
+                    assert y.sign() == _interval_sign(y) != 0, (N, m, digits)
+
+
+def test_integer_coefficients_are_ints():
+    f = field_for_modulus(12)
+    assert [type(c) for c in f.scalar((Fraction(4, 2), 3, True)).coeffs] == [int] * 4
+    assert f.scalar((Fraction(1, 2),)).coeffs[0] == Fraction(1, 2)
+    x = f.two_cos(12) * f.two_cos(4) + f.generator
+    assert all(type(c) is int for c in x.coeffs)

@@ -1,9 +1,13 @@
 import os
 import pathlib
+import random
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
+
+import coxmon.morphisms
 
 from coxmon import (
     INFINITY,
@@ -13,6 +17,7 @@ from coxmon import (
     bipartite_partition,
     block_partition,
     braid_from_word,
+    braid_identity,
     build_morphism,
     burst,
     burst_base_multiplicity,
@@ -72,6 +77,30 @@ def test_apply_morphism_is_multiplicative():
     # a braid over another graph is refused, also under python -O
     with pytest.raises(ValueError):
         apply_morphism(m, braid_from_word(g, "1"))
+
+
+def _atom_by_atom(m, x):
+    """The image of x as the product of its atom images, one at a time."""
+    out = braid_identity(m.target)
+    for f in x.factors:
+        for name in canonical_word(f):
+            out = multiply(out, m.image_of_atom(name))
+    return out
+
+
+def test_apply_morphism_matches_the_atom_by_atom_product():
+    # one normalize over all image factors gives the normal form that
+    # multiplying in the atom images one by one gives
+    b = burst(named_graph("H3"), 2)
+    e6 = named_graph("E6")
+    rng = random.Random(11)
+    for m in (build_morphism(b.graph, b.partition),
+              build_morphism(e6, orbit_partition(e6))):
+        vs = m.source.vertices
+        for _ in range(30):
+            word = [rng.choice(vs) for _ in range(rng.randint(0, 8))]
+            x = braid_from_word(m.source, word)
+            assert apply_morphism(m, x) == _atom_by_atom(m, x), word
 
 
 def test_full_verification_on_small_spherical_targets():
@@ -313,6 +342,34 @@ def test_compose_requires_matching_graphs():
                            bipartite_partition(named_graph("A3")))
     with pytest.raises(ValueError):
         compose(outer, other)
+
+
+def test_compose_and_folding_checks_raise_without_assert(monkeypatch):
+    # each re-check of compose (and the irreducibility check of a folding
+    # component) raises, also under python -O, when it fails
+    a6 = named_graph("A6")
+    outer = build_morphism(a6, orbit_partition(a6))
+    inner = build_morphism(outer.source, bipartite_partition(outer.source))
+    failing = {
+        "apply_morphism": (lambda m, x: braid_identity(m.target),
+                           "not the lifted longest element"),
+        "check_admissible": (lambda p, bound: SimpleNamespace(outcome="not_admissible"),
+                             "direct re-check"),
+        "partition_type": (lambda p, bound: SimpleNamespace(entry=lambda i, j: 7),
+                           "composite type disagrees"),
+    }
+    for name, (fake, message) in failing.items():
+        with monkeypatch.context() as mp:
+            mp.setattr(coxmon.morphisms, name, fake)
+            with pytest.raises(RuntimeError, match=message):
+                compose(outer, inner)
+    assert compose(outer, inner).source.m("1", "2") == 6
+    real = coxmon.morphisms.classify_spherical
+    with monkeypatch.context() as mp:
+        mp.setattr(coxmon.morphisms, "classify_spherical", lambda g: real(g) * 2)
+        with pytest.raises(RuntimeError, match="not irreducible"):
+            check_folding(named_graph("A4"), named_graph("I2(4)"),
+                          {"1": "1", "4": "1", "2": "2", "3": "2"})
 
 
 # -- fixed submonoids -----------------------------------------------------
