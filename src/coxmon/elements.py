@@ -28,9 +28,9 @@ word (i1, ..., ik) is s_{i1} * ... * s_{ik}.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
+from collections import namedtuple
 from operator import itemgetter
 
 from .exact import field_for_modulus
@@ -63,16 +63,17 @@ def _cos_rows(g: CoxeterGraph) -> tuple:
     )
 
 
-@dataclasses.dataclass
-class RootSystem:
+class RootSystem(namedtuple(
+        "RootSystem", "n_positive simple_index action getters identity")):
     """Permutation tables of the finite root system of a spherical graph;
-    root r < P is the r-th sorted positive root, root r + P its negation."""
+    root r < P is the r-th sorted positive root, root r + P its negation.
 
-    n_positive: int
-    simple_index: dict    # vertex -> root index of its simple root
-    action: tuple         # action[a][r] = index of s_{v_a}(root r)
-    getters: tuple        # getters[a](perm) = perm composed with action[a]
-    identity: tuple       # the identity permutation of the 2P roots
+    ``simple_index`` maps a vertex to the root index of its simple root,
+    ``action[a][r]`` is the index of s_{v_a}(root r), ``getters[a](perm)``
+    is perm composed with ``action[a]``, and ``identity`` is the identity
+    permutation of the 2P roots."""
+
+    __slots__ = ()
 
 
 def _reflect(cos_row, a: int, vec):
@@ -140,11 +141,25 @@ class _cached:
         return value
 
 
-@dataclasses.dataclass(frozen=True)
-class RootPermElement:
-    graph: CoxeterGraph
-    perm: tuple[int, ...]
-    rs: RootSystem = dataclasses.field(compare=False, repr=False)
+class RootPermElement(namedtuple("RootPermElement", "graph perm rs")):
+    """An element as a permutation of the roots.  Equality, hash and repr
+    read only ``graph`` and ``perm``: ``rs`` is the graph's RootSystem."""
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.perm == other.perm and self.graph == other.graph
+        return NotImplemented
+
+    def __ne__(self, other):
+        if other.__class__ is self.__class__:
+            return self.perm != other.perm or self.graph != other.graph
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.graph, self.perm))
+
+    def __repr__(self):
+        return f"RootPermElement(graph={self.graph!r}, perm={self.perm!r})"
 
     def __mul__(self, other: "RootPermElement") -> "RootPermElement":
         if other.graph != self.graph:
@@ -209,10 +224,9 @@ class RootPermElement:
 # -- matrix backend --------------------------------------------------------
 
 
-@dataclasses.dataclass(frozen=True)
-class MatrixElement:
-    graph: CoxeterGraph
-    matrix: tuple  # tuple of rows of ExactScalar; column j = image of a_j
+class MatrixElement(namedtuple("MatrixElement", "graph matrix")):
+    """An element as its representation matrix: a tuple of rows of
+    ExactScalar, column j the image of a_j."""
 
     def __mul__(self, other: "MatrixElement") -> "MatrixElement":
         if other.graph != self.graph:

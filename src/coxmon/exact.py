@@ -26,19 +26,19 @@ built once with interval arithmetic (mpmath.iv) and converted exactly from
 the endpoints' mantissas and exponents.  Scaled to integer coefficients c_k,
 the scalar times 2^p lies between two integer sums of c_k lo_k and c_k hi_k;
 when both sums have one sign, that is the sign.  The exact zero test
-guarantees termination.
+guarantees termination.  mpmath is loaded on the first sign that needs
+these enclosures (a zero or rational scalar never does), so the permutation
+backend of spherical graphs never imports it.
 
 Polynomials here are tuples of coefficients, lowest degree first, trimmed.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
+from collections import namedtuple
 from fractions import Fraction
-
-from mpmath import iv
 
 
 # -- plain polynomial helpers (coefficient tuples, low degree first) ------
@@ -163,12 +163,11 @@ def minimal_polynomial(N: int):
 # -- the field ------------------------------------------------------------
 
 
-@dataclasses.dataclass(frozen=True)
-class CosField:
-    """Q(2 cos(pi/N)) presented as Q[x] / Psi_N."""
+class CosField(namedtuple("CosField", "modulus psi")):
+    """Q(2 cos(pi/N)) presented as Q[x] / Psi_N: the modulus N and the
+    integer coefficient tuple of Psi_N."""
 
-    modulus: int
-    psi: tuple[int, ...]
+    __slots__ = ()
 
     @property
     def degree(self) -> int:
@@ -230,7 +229,10 @@ def _power_bounds(N: int, p: int) -> tuple:
 
     The powers are enclosed by mpmath.iv with d + 32 guard bits (theta^k <
     2^k), and each endpoint (sign, mantissa, exponent) converts exactly:
-    never through a float or the 53-bit ``mp`` context."""
+    never through a float or the 53-bit ``mp`` context.  mpmath is imported
+    here, on the first sign that needs an enclosure."""
+    from mpmath import iv
+
     d = field_for_modulus(N).degree
     old = iv.prec
     try:
@@ -249,13 +251,13 @@ def _power_bounds(N: int, p: int) -> tuple:
     return tuple(out)
 
 
-@dataclasses.dataclass(frozen=True)
-class ExactScalar:
+class ExactScalar(namedtuple("ExactScalar", "field coeffs")):
     """An element of a CosField: its fixed-length coefficient tuple (ints,
-    or Fractions where a caller passed non-integral rationals)."""
+    or Fractions where a caller passed non-integral rationals).  Scalars
+    are not ordered by their fields; ``sign`` compares with zero."""
 
-    field: CosField
-    coeffs: tuple[int | Fraction, ...]
+    __slots__ = ()
+    __lt__ = __le__ = __gt__ = __ge__ = None
 
     def _check(self, other) -> "ExactScalar":
         if isinstance(other, ExactScalar):

@@ -23,11 +23,11 @@ by diagram shape; ``I2(3)`` and ``I2(4)`` are canonicalized to ``A2`` and
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import itertools
 import math
 import re
+from collections import namedtuple
 
 INFINITY = math.inf
 
@@ -50,35 +50,29 @@ def label_to_text(m) -> str:
     return "inf" if is_infinite(m) else str(m)
 
 
-@dataclasses.dataclass(frozen=True)
-class CoxeterGraph:
-    """Immutable Coxeter graph with sorted string vertices."""
+class CoxeterGraph(namedtuple("CoxeterGraph", "vertices matrix")):
+    """Immutable Coxeter graph with sorted string vertices: ``vertices``,
+    and ``matrix`` as a tuple of rows of labels (int, or INFINITY)."""
 
-    vertices: tuple[str, ...]
-    matrix: tuple[tuple[int | float, ...], ...]
-
-    def __post_init__(self):
-        order = tuple(sorted(self.vertices))
-        if order != self.vertices:
+    def __new__(cls, vertices, matrix):
+        order = tuple(sorted(vertices))
+        if order != vertices:
             # canonicalize: permute matrix rows/columns to sorted order
-            old = {v: k for k, v in enumerate(self.vertices)}
-            mat = tuple(
-                tuple(self.matrix[old[u]][old[v]] for v in order) for u in order
-            )
-            object.__setattr__(self, "vertices", order)
-            object.__setattr__(self, "matrix", mat)
-        if len(set(self.vertices)) != len(self.vertices):
+            old = {v: k for k, v in enumerate(vertices)}
+            matrix = tuple(tuple(matrix[old[u]][old[v]] for v in order) for u in order)
+        if len(set(order)) != len(order):
             raise ValueError("duplicate vertex identifiers")
-        n = len(self.vertices)
+        n = len(order)
         for a in range(n):
-            if self.matrix[a][a] != 1:
+            if matrix[a][a] != 1:
                 raise ValueError("diagonal entries must be 1")
             for b in range(a + 1, n):
-                m = self.matrix[a][b]
-                if m != self.matrix[b][a]:
+                m = matrix[a][b]
+                if m != matrix[b][a]:
                     raise ValueError("Coxeter matrix must be symmetric")
                 if not (is_infinite(m) or (isinstance(m, int) and m >= 2)):
                     raise ValueError(f"bad label {m!r}")
+        return tuple.__new__(cls, (order, matrix))
 
     # -- construction ----------------------------------------------------
 
@@ -290,19 +284,20 @@ def named_graph(name: str) -> CoxeterGraph:
 # -- spherical classification --------------------------------------------
 
 
-@dataclasses.dataclass(frozen=True, order=True)
-class SphericalType:
-    """An entry of the classification of connected spherical graphs.
+class SphericalType(namedtuple("SphericalType", "family param")):
+    """An entry of the classification of connected spherical graphs,
+    ordered as the pair (family, param).
 
     ``family`` is one of A B D E F H I; ``param`` is the rank, except for
     family I where it is the dihedral label m (rank is then 2).
     """
 
-    family: str
-    param: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        assert self.family in "ABDEFHI"
+    def __new__(cls, family, param):
+        if family not in ("A", "B", "D", "E", "F", "H", "I"):
+            raise ValueError(f"unknown spherical family {family!r}")
+        return tuple.__new__(cls, (family, param))
 
     @property
     def rank(self) -> int:
@@ -330,7 +325,8 @@ class SphericalType:
         """Number of positive roots = length of the longest element;
         equals rank * coxeter_number / 2."""
         n = self.rank * self.coxeter_number
-        assert n % 2 == 0
+        if n % 2:
+            raise RuntimeError(f"{self}: rank times Coxeter number {n} is odd")
         return n // 2
 
     def __str__(self):
@@ -403,7 +399,8 @@ def _leg_length(g: CoxeterGraph, center: str, first: str) -> int:
         nxt = [w for w in g.neighbors(cur) if w != prev]
         if not nxt:
             return steps
-        assert len(nxt) == 1
+        if len(nxt) != 1:
+            raise RuntimeError(f"vertex {cur} branches on a leg of {center}")
         prev, cur = cur, nxt[0]
         steps += 1
 

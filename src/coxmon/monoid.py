@@ -20,7 +20,7 @@ reversal antiautomorphism rev(s_{i1} ... s_{ik}) = s_{ik} ... s_{i1}.
 
 from __future__ import annotations
 
-import dataclasses
+from collections import namedtuple
 
 from .elements import StepBudgetExceeded  # re-exported
 from .elements import canonical_word, element_from_word, longest_element
@@ -42,22 +42,21 @@ def default_step_bound(g: CoxeterGraph) -> int:
     return SPHERICAL_STEP_BOUND if is_spherical(g) else DEFAULT_STEP_BOUND
 
 
-@dataclasses.dataclass(frozen=True)
-class PosBraid:
+class PosBraid(namedtuple("PosBraid", "graph factors")):
     """An element of B+ in left-greedy normal form."""
 
-    graph: CoxeterGraph
-    factors: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        for f in self.factors:
-            if f.graph != self.graph:
+    def __new__(cls, graph, factors):
+        for f in factors:
+            if f.graph != graph:
                 raise ValueError("factor over another graph")
             if f.is_identity:
                 raise ValueError("trivial factor in normal form")
-        for u, v in zip(self.factors, self.factors[1:]):
+        for u, v in zip(factors, factors[1:]):
             if not v.left_descents <= u.right_descents:
                 raise ValueError("factor list is not in left-greedy normal form")
+        return tuple.__new__(cls, (graph, factors))
 
     @property
     def length(self) -> int:
@@ -304,14 +303,11 @@ def lcm_atoms(g: CoxeterGraph, subset) -> PosBraid | None:
 # -- fractions -------------------------------------------------------------
 
 
-@dataclasses.dataclass(frozen=True)
-class FractionPair:
+class FractionPair(namedtuple("FractionPair", "side first second")):
     """A pair (a, b) with trivial gcd on the stated side, standing for the
     group fraction a^{-1} b (side='left') or a b^{-1} (side='right')."""
 
-    side: str
-    first: PosBraid
-    second: PosBraid
+    __slots__ = ()
 
 
 def irreducible_fraction(x: PosBraid, y: PosBraid, side: str = "left") -> FractionPair:

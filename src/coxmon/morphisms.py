@@ -30,11 +30,11 @@ partitions:
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import itertools
 import math
 import random
+from collections import namedtuple
 
 from .elements import canonical_word, longest_element
 from .graphs import (
@@ -65,7 +65,6 @@ from .partitions import (
     AdmissibilityVerdict,
     BlockPartition,
     LiftCertificate,
-    PartitionType,
     block_partition,
     check_admissible,
     check_pair,
@@ -79,14 +78,9 @@ from .partitions import (
 # -- admissible morphisms --------------------------------------------------
 
 
-@dataclasses.dataclass(frozen=True)
-class AdmissibleMorphism:
+class AdmissibleMorphism(namedtuple(
+        "AdmissibleMorphism", "target partition verdict source")):
     """B+(source) -> B+(target), atom `a` |-> lifted r_{block a}."""
-
-    target: CoxeterGraph
-    partition: BlockPartition
-    verdict: AdmissibilityVerdict
-    source: CoxeterGraph
 
     @functools.cached_property
     def _images(self) -> dict:
@@ -133,11 +127,12 @@ def apply_morphism(m: AdmissibleMorphism, x: PosBraid) -> PosBraid:
 # -- verification reports --------------------------------------------------
 
 
-@dataclasses.dataclass(frozen=True)
-class VerificationReport:
-    label: str
-    checks: tuple  # (name, passed, detail)
-    skipped: tuple = ()  # (name, reason): undecided within the step budget
+class VerificationReport(namedtuple(
+        "VerificationReport", "label checks skipped", defaults=((),))):
+    """``checks`` holds (name, passed, detail); ``skipped`` holds
+    (name, reason) for checks undecided within the step budget."""
+
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -300,11 +295,11 @@ def verify_respects_normal_forms(
 # -- LCM-partitions --------------------------------------------------------
 
 
-@dataclasses.dataclass(frozen=True)
-class LcmPartitionReport:
-    partition: BlockPartition
-    bound: int
-    pair_results: tuple  # ((na, nb), entry, case, ok, detail)
+class LcmPartitionReport(namedtuple(
+        "LcmPartitionReport", "partition bound pair_results")):
+    """``pair_results`` holds ((na, nb), entry, case, ok, detail)."""
+
+    __slots__ = ()
 
     @property
     def is_lcm(self) -> bool:
@@ -379,12 +374,10 @@ def burst_base_multiplicity(g: CoxeterGraph) -> int:
     return out
 
 
-@dataclasses.dataclass(frozen=True)
-class BurstResult:
-    original: CoxeterGraph
-    copies: int
-    graph: CoxeterGraph
-    partition: BlockPartition  # blocks T(i), named by the original vertex
+class BurstResult(namedtuple("BurstResult", "original copies graph partition")):
+    """``partition`` has the blocks T(i), named by the original vertex."""
+
+    __slots__ = ()
 
 
 def burst(g: CoxeterGraph, copies: int | None = None) -> BurstResult:
@@ -421,13 +414,12 @@ def burst(g: CoxeterGraph, copies: int | None = None) -> BurstResult:
     return BurstResult(g, N, bg, block_partition(bg, blocks, g.vertices))
 
 
-@dataclasses.dataclass(frozen=True)
-class BurstReport:
-    result: BurstResult
-    verdict: AdmissibilityVerdict
-    ptype: PartitionType
-    type_matches: bool
-    infinite_pair_structure: tuple  # ((na, nb), ok, detail)
+class BurstReport(namedtuple(
+        "BurstReport",
+        "result verdict ptype type_matches infinite_pair_structure")):
+    """``infinite_pair_structure`` holds ((na, nb), ok, detail)."""
+
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -485,16 +477,13 @@ def verify_burst(b: BurstResult, bound: int = DEFAULT_BOUND) -> BurstReport:
 # -- foldings --------------------------------------------------------------
 
 
-@dataclasses.dataclass(frozen=True)
-class FoldingReport:
-    source: CoxeterGraph
-    base: CoxeterGraph
-    mapping: tuple  # sorted (src, tgt) pairs
-    partition: BlockPartition
-    verdict: AdmissibilityVerdict
-    ptype: PartitionType
-    type_matches: bool
-    pair_tags: tuple  # ((a, b), m, tag, ok, detail)
+class FoldingReport(namedtuple(
+        "FoldingReport", "source base mapping partition verdict ptype"
+        " type_matches pair_tags")):
+    """``mapping`` holds the sorted (src, tgt) pairs and ``pair_tags``
+    holds ((a, b), m, tag, ok, detail)."""
+
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -656,15 +645,13 @@ def compose(
 # -- fixed submonoids ------------------------------------------------------
 
 
-@dataclasses.dataclass(frozen=True)
-class FixedSubmonoidReport:
-    graph: CoxeterGraph
-    partition: BlockPartition
-    ptype: PartitionType
-    length_bound: int
-    fixed_counts: tuple
-    generated_counts: tuple  # aligned by length 0..bound
-    sets_match: bool  # element-for-element, not just counts
+class FixedSubmonoidReport(namedtuple(
+        "FixedSubmonoidReport", "graph partition ptype length_bound"
+        " fixed_counts generated_counts sets_match")):
+    """The counts are aligned by length 0..bound; ``sets_match`` compares
+    the sets element for element, not just their counts."""
+
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

@@ -36,8 +36,8 @@ coset w W_B), so a full alternating scan needs only descent lookups.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
+from collections import namedtuple
 
 from .elements import identity_element, is_compatible, longest_element
 from .graphs import (
@@ -58,35 +58,33 @@ DEFAULT_BOUND = 64
 # -- partitions ------------------------------------------------------------
 
 
-@dataclasses.dataclass(frozen=True)
-class BlockPartition:
+class BlockPartition(namedtuple("BlockPartition", "graph blocks names")):
     """Disjoint nonempty blocks of graph vertices, with parallel names.
 
     Blocks are sorted tuples, ordered by their smallest vertex; the union
     (the carrier) may be a proper subset of the graph.
     """
 
-    graph: CoxeterGraph
-    blocks: tuple
-    names: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.blocks) != len(self.names):
+    def __new__(cls, graph, blocks, names):
+        if len(blocks) != len(names):
             raise ValueError("one name per block")
-        if len(set(self.names)) != len(self.names):
+        if len(set(names)) != len(names):
             raise ValueError("duplicate block names")
         seen = set()
-        for b in self.blocks:
+        for b in blocks:
             if not b or b != tuple(sorted(b)):
                 raise ValueError("blocks must be sorted and nonempty")
             for v in b:
-                if v not in self.graph._index:
+                if v not in graph._index:
                     raise ValueError(f"{v!r} is not a vertex")
                 if v in seen:
                     raise ValueError(f"{v!r} appears in two blocks")
                 seen.add(v)
-        if self.blocks != tuple(sorted(self.blocks)):
+        if blocks != tuple(sorted(blocks)):
             raise ValueError("blocks out of order")
+        return tuple.__new__(cls, (graph, blocks, names))
 
     @property
     def carrier(self) -> tuple:
@@ -162,15 +160,12 @@ def bipartite_partition(g: CoxeterGraph) -> BlockPartition:
 # -- verdicts, witnesses, certificates ------------------------------------
 
 
-@dataclasses.dataclass(frozen=True)
-class IncompatibleWord:
+class IncompatibleWord(namedtuple("IncompatibleWord", "alpha beta n first")):
     """A replayable witness: the alternating word of n factors starting
-    with the stated block is not length-additive."""
+    with the stated block (``first``, 'alpha' or 'beta') is not
+    length-additive."""
 
-    alpha: tuple
-    beta: tuple
-    n: int
-    first: str  # 'alpha' or 'beta'
+    __slots__ = ()
 
 
 def replay_witness(g: CoxeterGraph, w: IncompatibleWord) -> bool:
@@ -182,48 +177,45 @@ def replay_witness(g: CoxeterGraph, w: IncompatibleWord) -> bool:
     return not is_compatible(g.restrict(carrier), blocks)
 
 
-@dataclasses.dataclass(frozen=True)
-class ExhaustiveFiniteCertificate:
+class ExhaustiveFiniteCertificate(namedtuple("ExhaustiveFiniteCertificate", "order")):
     """Both alternating words were verified compatible for every length up
     to the exact order of r_a r_b."""
 
-    order: int
+    __slots__ = ()
 
 
-@dataclasses.dataclass(frozen=True)
-class OrbitCertificate:
+class OrbitCertificate(namedtuple("OrbitCertificate", "group_order orbits")):
     """The blocks are exactly the orbits of the subgroup of Aut that
     stabilizes every block (hence of *some* subgroup, which is the full
     strength of the fixed-submonoid theorem)."""
 
-    group_order: int
-    orbits: tuple
+    __slots__ = ()
 
 
-@dataclasses.dataclass(frozen=True)
-class LiftCertificate:
+class LiftCertificate(namedtuple("LiftCertificate", "outer inner")):
     """The partition is the lift of an admissible partition (inner, on the
     type graph) through an admissible partition (outer)."""
 
-    outer: BlockPartition
-    inner: BlockPartition
+    __slots__ = ()
 
 
-@dataclasses.dataclass(frozen=True)
-class AdmissibilityVerdict:
-    outcome: str  # 'admissible' | 'not_admissible' | 'unknown'
-    bound: int
-    reason: str = ""
-    witness: IncompatibleWord | None = None
-    certificate: object = None
-    pair: tuple | None = None
-    details: tuple = ()  # ((name_a, name_b), pair verdict) for partitions
+class AdmissibilityVerdict(namedtuple(
+        "AdmissibilityVerdict",
+        "outcome bound reason witness certificate pair details")):
+    """``outcome`` is 'admissible', 'not_admissible' (with an
+    IncompatibleWord ``witness``) or 'unknown'; ``details`` holds
+    ((name_a, name_b), pair verdict) for partitions."""
 
-    def __post_init__(self):
-        if self.outcome not in ("admissible", "not_admissible", "unknown"):
-            raise ValueError(f"unknown outcome {self.outcome!r}")
-        if self.outcome == "not_admissible" and self.witness is None:
+    __slots__ = ()
+
+    def __new__(cls, outcome, bound, reason="", witness=None, certificate=None,
+                pair=None, details=()):
+        if outcome not in ("admissible", "not_admissible", "unknown"):
+            raise ValueError(f"unknown outcome {outcome!r}")
+        if outcome == "not_admissible" and witness is None:
             raise ValueError("refusals must carry a witness")
+        return tuple.__new__(
+            cls, (outcome, bound, reason, witness, certificate, pair, details))
 
     @property
     def is_admissible(self) -> bool:
@@ -455,16 +447,13 @@ def check_admissible(p: BlockPartition, bound: int = DEFAULT_BOUND) -> Admissibi
     )
 
 
-@dataclasses.dataclass(frozen=True)
-class PartitionType:
+class PartitionType(namedtuple("PartitionType", "partition orders bound")):
     """The Coxeter matrix over block names: entry |r_a r_b|, where the
     infinite label is only written when certified (admissible pair over an
     infinite restriction); None records "no finite order up to the bound,
     no certificate"."""
 
-    partition: BlockPartition
-    orders: tuple
-    bound: int
+    __slots__ = ()
 
     def entry(self, na: str, nb: str):
         i = self.partition.names.index(na)
@@ -597,14 +586,10 @@ def certify_by_lift(
 # -- product splitting -----------------------------------------------------
 
 
-@dataclasses.dataclass(frozen=True)
-class ProductSplitReport:
-    factors: tuple
-    factor_verdicts: tuple
-    factor_orders: tuple
-    global_pair: tuple
-    global_verdict: AdmissibilityVerdict
-    global_order: object
+class ProductSplitReport(namedtuple(
+        "ProductSplitReport", "factors factor_verdicts factor_orders"
+        " global_pair global_verdict global_order")):
+    __slots__ = ()
 
     @property
     def consistent(self) -> bool:
@@ -649,12 +634,12 @@ def product_split_check(
 # -- classification of 2-partitions ---------------------------------------
 
 
-@dataclasses.dataclass(frozen=True)
-class ClassificationReport:
-    graph: CoxeterGraph
-    bound: int
-    admissible: tuple  # (BlockPartition, order)
-    eliminated: tuple  # (BlockPartition, stage, detail)
+class ClassificationReport(namedtuple(
+        "ClassificationReport", "graph bound admissible eliminated")):
+    """``admissible`` holds (BlockPartition, order) and ``eliminated``
+    holds (BlockPartition, stage, detail)."""
+
+    __slots__ = ()
 
     def eliminated_by(self, stage: str):
         return [e for e in self.eliminated if e[1] == stage]
@@ -730,12 +715,14 @@ def classify_2partitions(
             verdict = check_pair(g, a, b, bound)
             if verdict.is_admissible:
                 admissible.append((p, pair_order(g, a, b, bound)))
-            else:
-                assert verdict.outcome == "not_admissible"
+            elif verdict.outcome == "not_admissible":
                 eliminated.append(
                     (p, "direct", f"witness n={verdict.witness.n}"
                      f" starting {verdict.witness.first}")
                 )
+            else:
+                raise RuntimeError(f"spherical pair {a} / {b} left"
+                                   f" {verdict.outcome}: {verdict.reason}")
     admissible.sort(key=lambda t: t[0].blocks)
     eliminated.sort(key=lambda t: t[0].blocks)
     return ClassificationReport(g, bound, tuple(admissible), tuple(eliminated))

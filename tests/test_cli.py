@@ -1,4 +1,6 @@
 import json
+import os
+import pathlib
 import subprocess
 import sys
 
@@ -242,3 +244,24 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["verdict"]["outcome"] == "admissible"
+
+
+def test_spherical_commands_load_neither_mpmath_nor_dataclasses():
+    # the combinatorial route of a spherical command needs no real numbers
+    # and no class generation; mpmath loads on the first sign that needs
+    # enclosures, and that sign is right
+    code = """
+import contextlib, io, sys
+from coxmon.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(["check-partition", "E8", "bipartite"]), main(["normal-form", "A3", "1,2"])]
+print(codes, "mpmath" in sys.modules, "dataclasses" in sys.modules)
+from coxmon.exact import field_for_modulus
+print(field_for_modulus(5).scalar((-2, 1)).sign(), "mpmath" in sys.modules)
+"""
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.split("\n")[:2] == ["[0, 0] False False", "-1 True"]

@@ -19,7 +19,13 @@ from coxmon import (
     parse_graph,
     positive_root_count,
 )
-from coxmon.graphs import is_direct_product, label_from_text, label_to_text
+from coxmon.graphs import (
+    SphericalType,
+    _leg_length,
+    is_direct_product,
+    label_from_text,
+    label_to_text,
+)
 
 # rank, Coxeter number, and number of positive roots (= rank * h / 2) for
 # the irreducible spherical types, from the standard closed forms
@@ -268,3 +274,16 @@ def test_infinity_is_math_inf():
     assert INFINITY == math.inf
     assert is_infinite(INFINITY)
     assert not is_infinite(7)
+
+
+def test_classification_invariants_raise_without_assert(monkeypatch):
+    # tests/test_optimized.py runs this under python -O, where an assert
+    # would let each of these through
+    with pytest.raises(ValueError):
+        SphericalType("Z", 3)
+    branching = parse_graph("edge 1 2 3\nedge 2 3 3\nedge 2 4 3")
+    with pytest.raises(RuntimeError):
+        _leg_length(branching, "1", "2")
+    monkeypatch.setattr(SphericalType, "coxeter_number", property(lambda t: 5))
+    with pytest.raises(RuntimeError):
+        SphericalType("A", 3).positive_roots

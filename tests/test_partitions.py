@@ -105,6 +105,17 @@ def test_verdict_invariants_hold_without_assert():
     assert AdmissibilityVerdict("unknown", 8).outcome == "unknown"
 
 
+def test_classification_recheck_raises_without_assert(monkeypatch):
+    # every pair over a spherical graph is decided; an undecided one is an
+    # internal error, also under python -O
+    import coxmon.partitions as partitions
+
+    monkeypatch.setattr(partitions, "check_pair",
+                        lambda g, a, b, bound: AdmissibilityVerdict("unknown", bound))
+    with pytest.raises(RuntimeError, match="unknown"):
+        classify_2partitions(named_graph("A6"))
+
+
 def test_check_pair_unknown_when_nothing_settles():
     # a path with labels 3 and inf: the alternating products stay reduced
     # (so no witness), the pair order is infinite (so no finite scan), and
