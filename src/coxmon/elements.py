@@ -10,8 +10,7 @@ a_j + 2 cos(pi/m_{ij}) a_i for j != i, and a_i to -a_i.
   index r + P is its negation.  Composition is tuple indexing through
   ``operator.itemgetter`` (one stored getter per generator row); the length
   of w is the number of positive roots sent to negative roots, and v is a
-  left descent exactly when w sends a negative root to a_v, which is read
-  off the permutation without building the inverse.
+  right descent exactly when w sends a_v to a negative root.
 
 * Any graph: ``MatrixElement`` stores the representation matrix with
   ExactScalar entries; column j holds the coordinates of w(a_j).  A
@@ -19,11 +18,22 @@ a_j + 2 cos(pi/m_{ij}) a_i for j != i, and a_i to -a_i.
   lengths come from the descent walk (peeling descents until the identity),
   guarded by a step ceiling against non-group input.
 
+Descent sets are int bitmasks over the vertex index (bit a for
+``graph.vertices[a]``, so the least set bit is the least vertex); the left
+mask of w is the right mask of w^{-1}, and ``right_descents`` /
+``left_descents`` are the same sets as frozensets of vertex names.  Each
+backend also offers three operations on raw element data (a permutation
+tuple, or matrix rows), gathered per graph in a ``Kernel``: the right
+descent mask, right multiplication by the generator at a vertex index, and
+the inverse.  An element is the identity exactly when its mask is 0, so
+loops that walk an element down to the identity (``canonical_word``, the
+monoid's ``normalize``) need nothing else and serve both backends.
+
 Both classes expose the same surface: ``gen_left``/``gen_right`` (cheap
-one-generator products), ``right_descents``/``left_descents``, ``length``,
-``inverse``, ``is_identity``, ``order``.  Products use the convention
-(u * v)(x) = u(v(x)), matching words read left to right: the element of the
-word (i1, ..., ik) is s_{i1} * ... * s_{ik}.
+one-generator products), ``right_descents``/``left_descents`` and their
+masks, ``length``, ``inverse``, ``is_identity``, ``order``.  Products use
+the convention (u * v)(x) = u(v(x)), matching words read left to right: the
+element of the word (i1, ..., ik) is s_{i1} * ... * s_{ik}.
 """
 
 from __future__ import annotations
@@ -68,7 +78,8 @@ class RootSystem(namedtuple(
     """Permutation tables of the finite root system of a spherical graph;
     root r < P is the r-th sorted positive root, root r + P its negation.
 
-    ``simple_index`` maps a vertex to the root index of its simple root,
+    ``simple_index[a]`` is the root index of the simple root of vertex
+    ``graph.vertices[a]``,
     ``action[a][r]`` is the index of s_{v_a}(root r), ``getters[a](perm)``
     is perm composed with ``action[a]``, and ``identity`` is the identity
     permutation of the 2P roots."""
@@ -117,12 +128,11 @@ def root_system(g: CoxeterGraph) -> RootSystem:
         half = [r + P if images[k][a] is None else pos[images[k][a]]
                 for r, k in enumerate(order)]
         action.append(tuple(half + [(x + P) % (2 * P) for x in half]))
-    simple_index = {v: pos[a] for a, v in enumerate(g.vertices)}
-    return RootSystem(P, simple_index, tuple(action),
+    return RootSystem(P, tuple(pos[a] for a in range(g.rank)), tuple(action),
                       tuple(itemgetter(*row) for row in action), tuple(range(2 * P)))
 
 
-# -- permutation backend ---------------------------------------------------
+# -- descents and raw operations -------------------------------------------
 
 
 class _cached:
@@ -141,9 +151,71 @@ class _cached:
         return value
 
 
-class RootPermElement(namedtuple("RootPermElement", "graph perm rs")):
+def _mask_set(g: CoxeterGraph, mask: int) -> frozenset:
+    return frozenset(v for a, v in enumerate(g.vertices) if mask >> a & 1)
+
+
+class _Element:
+    """What both backends share: the raw data, the kernel, and the
+    descent sets derived from ``right_mask`` and the cached ``inverse``."""
+
+    __slots__ = ()
+
+    # the raw data is the second field of both records: ``perm``, ``matrix``
+    data = property(itemgetter(1))
+
+    @property
+    def kernel(self) -> "Kernel":
+        return kernel(self.graph, self.backend)
+
+    @_cached
+    def right_mask(self) -> int:
+        return self.kernel.mask(self.data)
+
+    @_cached
+    def left_mask(self) -> int:
+        return self.inverse.right_mask
+
+    @_cached
+    def right_descents(self) -> frozenset:
+        return _mask_set(self.graph, self.right_mask)
+
+    @_cached
+    def left_descents(self) -> frozenset:
+        return _mask_set(self.graph, self.left_mask)
+
+
+# -- permutation backend ---------------------------------------------------
+
+
+def _perm_mask(rs: RootSystem):
+    """The right descent mask of a permutation: bit a is set when it sends
+    the simple root of vertex a to a negative root."""
+    P = rs.n_positive
+    bits = tuple((1 << a, r) for a, r in enumerate(rs.simple_index))
+
+    def mask(perm) -> int:
+        m = 0
+        for bit, r in bits:
+            if perm[r] >= P:
+                m |= bit
+        return m
+
+    return mask
+
+
+def _perm_inverse(perm) -> tuple:
+    inv = [0] * len(perm)
+    for r, x in enumerate(perm):
+        inv[x] = r
+    return tuple(inv)
+
+
+class RootPermElement(_Element, namedtuple("RootPermElement", "graph perm rs")):
     """An element as a permutation of the roots.  Equality, hash and repr
     read only ``graph`` and ``perm``: ``rs`` is the graph's RootSystem."""
+
+    backend = "perm"
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -186,24 +258,7 @@ class RootPermElement(namedtuple("RootPermElement", "graph perm rs")):
 
     @_cached
     def inverse(self) -> "RootPermElement":
-        inv = [0] * len(self.perm)
-        for r, x in enumerate(self.perm):
-            inv[x] = r
-        return RootPermElement(self.graph, tuple(inv), self.rs)
-
-    @_cached
-    def right_descents(self) -> frozenset:
-        P = self.rs.n_positive
-        si = self.rs.simple_index
-        return frozenset(v for v in self.graph.vertices if self.perm[si[v]] >= P)
-
-    @_cached
-    def left_descents(self) -> frozenset:
-        # v is a left descent iff w^{-1}(a_v) is negative
-        P = self.rs.n_positive
-        si = self.rs.simple_index
-        index = self.perm.index
-        return frozenset(v for v in self.graph.vertices if index(si[v]) >= P)
+        return RootPermElement(self.graph, _perm_inverse(self.perm), self.rs)
 
     def order(self, bound: int = DEFAULT_ORDER_BOUND) -> int:
         """Exact order: the action on roots is faithful, so this is the lcm
@@ -224,9 +279,40 @@ class RootPermElement(namedtuple("RootPermElement", "graph perm rs")):
 # -- matrix backend --------------------------------------------------------
 
 
-class MatrixElement(namedtuple("MatrixElement", "graph matrix")):
+def _matrix_mask(g: CoxeterGraph, rows) -> int:
+    m = 0
+    for j, v in enumerate(g.vertices):
+        signs = {row[j].sign() for row in rows} - {0}
+        # a column is the image of a simple root: never zero or mixed-sign
+        if not signs:
+            raise ValueError(f"zero column {v}: not a group element")
+        if len(signs) > 1:
+            raise ValueError(f"mixed-sign column {v}: not a group element")
+        if signs == {-1}:
+            m |= 1 << j
+    return m
+
+
+def _matrix_rmul(g: CoxeterGraph, rows, a: int) -> tuple:
+    """rows * s_a: column a flips sign, and every other column c gains
+    cos(a,c) times the old column a."""
+    row_a = _cos_rows(g)[a]
+    out = []
+    for old in rows:
+        row = list(old)
+        row[a] = -old[a]
+        if old[a]:
+            for c, x in row_a:
+                row[c] = old[c] + x * old[a]
+        out.append(tuple(row))
+    return tuple(out)
+
+
+class MatrixElement(_Element, namedtuple("MatrixElement", "graph matrix")):
     """An element as its representation matrix: a tuple of rows of
     ExactScalar, column j the image of a_j."""
+
+    backend = "matrix"
 
     def __mul__(self, other: "MatrixElement") -> "MatrixElement":
         if other.graph != self.graph:
@@ -264,37 +350,17 @@ class MatrixElement(namedtuple("MatrixElement", "graph matrix")):
         return MatrixElement(self.graph, mat[:a] + (tuple(new_row),) + mat[a + 1:])
 
     def gen_right(self, v: str) -> "MatrixElement":
-        """self * s_v: column a flips sign, and every other column c gains
-        cos(a,c) times the old column a."""
-        a = self.graph._index[v]
-        row_a = _cos_rows(self.graph)[a]
-        rows = []
-        for old in self.matrix:
-            row = list(old)
-            row[a] = -old[a]
-            if old[a]:
-                for c, x in row_a:
-                    row[c] = old[c] + x * old[a]
-            rows.append(tuple(row))
-        return MatrixElement(self.graph, tuple(rows))
+        return MatrixElement(self.graph,
+                             _matrix_rmul(self.graph, self.matrix, self.graph._index[v]))
 
     @property
     def is_identity(self) -> bool:
         return self.matrix == identity_element(self.graph, "matrix").matrix
 
-    @functools.cached_property
-    def right_descents(self) -> frozenset:
-        out = []
-        for j, v in enumerate(self.graph.vertices):
-            signs = {row[j].sign() for row in self.matrix} - {0}
-            # a column is the image of a simple root: never zero or mixed-sign
-            if not signs:
-                raise ValueError(f"zero column {v}: not a group element")
-            if len(signs) > 1:
-                raise ValueError(f"mixed-sign column {v}: not a group element")
-            if signs == {-1}:
-                out.append(v)
-        return frozenset(out)
+    @_cached
+    def right_mask(self) -> int:
+        # not through the kernel, which most matrix graphs never need
+        return _matrix_mask(self.graph, self.matrix)
 
     def reduced_word(self, step_ceiling: int | None = None) -> tuple:
         """Some reduced word for self, by peeling least right descents.
@@ -306,13 +372,15 @@ class MatrixElement(namedtuple("MatrixElement", "graph matrix")):
         if cached is not None:
             return cached
         ceiling = DEFAULT_STEP_CEILING if step_ceiling is None else step_ceiling
+        vertices = self.graph.vertices
         cur, letters = self, []
         for _ in range(ceiling + 1):
             if cur.is_identity:
                 word = tuple(reversed(letters))
                 self.__dict__["_rword"] = word
                 return word
-            j = min(cur.right_descents)
+            m = cur.right_mask
+            j = vertices[(m & -m).bit_length() - 1]
             letters.append(j)
             cur = cur.gen_right(j)
         raise StepBudgetExceeded(f"descent walk exceeded {ceiling} steps")
@@ -321,16 +389,12 @@ class MatrixElement(namedtuple("MatrixElement", "graph matrix")):
     def length(self) -> int:
         return len(self.reduced_word())
 
-    @functools.cached_property
+    @_cached
     def inverse(self) -> "MatrixElement":
         out = identity_element(self.graph, "matrix")
         for v in reversed(self.reduced_word()):
             out = out.gen_right(v)
         return out
-
-    @functools.cached_property
-    def left_descents(self) -> frozenset:
-        return self.inverse.right_descents
 
     def order(self, bound: int = DEFAULT_ORDER_BOUND) -> int | None:
         """Smallest n >= 1 with w^n = 1, or None if none exists <= bound."""
@@ -340,6 +404,49 @@ class MatrixElement(namedtuple("MatrixElement", "graph matrix")):
                 return n
             cur = cur * self
         return None
+
+
+# -- raw kernels -----------------------------------------------------------
+
+
+class Kernel(namedtuple("Kernel", "mask rmul inverse element")):
+    """The raw operations of one backend over one graph, on element data:
+    ``mask(data)`` is the right descent mask, ``rmul(data, a)`` the data of
+    w * s_{vertices[a]}, ``inverse(data)`` the data of w^{-1}, and
+    ``element(data, inv=None)`` builds the element, with its inverse
+    cached when the data of the inverse is given."""
+
+    __slots__ = ()
+
+
+@functools.lru_cache(maxsize=None)
+def kernel(g: CoxeterGraph, backend: str) -> Kernel:
+    """The kernel of the ``backend`` ("perm" or "matrix") over g."""
+    if pick_backend(g, backend) == "perm":
+        rs = root_system(g)
+        getters = rs.getters
+
+        def make(perm):
+            return RootPermElement(g, perm, rs)
+
+        ops = (_perm_mask(rs), lambda perm, a: getters[a](perm),
+               _perm_inverse)
+    else:
+        def make(rows):
+            return MatrixElement(g, rows)
+
+        ops = (functools.partial(_matrix_mask, g), functools.partial(_matrix_rmul, g),
+               lambda rows: make(rows).inverse.matrix)
+
+    def element(data, inv=None):
+        w = make(data)
+        if inv is not None:
+            # one way only: a link back would make a reference cycle, which
+            # only the cyclic collector frees
+            w.__dict__["inverse"] = make(inv)
+        return w
+
+    return Kernel(*ops, element)
 
 
 # -- public operations -----------------------------------------------------
@@ -382,6 +489,7 @@ def element_from_word(g: CoxeterGraph, word):
     return w
 
 
+@functools.lru_cache(maxsize=None)
 def generator(g: CoxeterGraph, v: str):
     return element_from_word(g, (v,))
 
@@ -400,17 +508,24 @@ def descents(w, side: str = "right") -> frozenset:
 
 def canonical_word(w) -> tuple:
     """The lexicographically least reduced word, by the least-left-descent
-    recursion.  Deterministic; used for serialization and hashing words."""
+    recursion.  Deterministic; used for serialization and hashing words.
+
+    Walked on the inverse alone: the left descents of cur are the right
+    descents of cur^{-1}, s_i * cur has inverse cur^{-1} * s_i, and cur is
+    the identity exactly when cur^{-1} has no descent."""
     cached = w.__dict__.get("_canon")
     if cached is not None:
         return cached
-    cur, inv = w, w.inverse
+    mask, rmul = w.kernel[:2]
+    vertices = w.graph.vertices
+    cur = w.inverse.data
     letters = []
-    while not cur.is_identity:
-        i = min(inv.right_descents)  # left descents of cur, cheaply
-        letters.append(i)
-        cur = cur.gen_left(i)
-        inv = inv.gen_right(i)
+    m = mask(cur)
+    while m:
+        a = (m & -m).bit_length() - 1
+        letters.append(vertices[a])
+        cur = rmul(cur, a)
+        m = mask(cur)
     out = tuple(letters)
     w.__dict__["_canon"] = out
     return out

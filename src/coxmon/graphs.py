@@ -74,6 +74,17 @@ class CoxeterGraph(namedtuple("CoxeterGraph", "vertices matrix")):
                     raise ValueError(f"bad label {m!r}")
         return tuple.__new__(cls, (order, matrix))
 
+    def __hash__(self):
+        # graphs key every per-graph cache; hash the nested tuples once
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = self.__dict__["_hash"] = tuple.__hash__(self)
+        return h
+
+    def __getstate__(self):
+        # a pickle carries no cache: the string hash differs per process
+        return None
+
     # -- construction ----------------------------------------------------
 
     @staticmethod
@@ -405,6 +416,7 @@ def _leg_length(g: CoxeterGraph, center: str, first: str) -> int:
         steps += 1
 
 
+@functools.lru_cache(maxsize=None)
 def classify_spherical(g: CoxeterGraph):
     """Sorted tuple of SphericalType, one per connected component, or None
     if any component is not spherical.  The empty graph classifies as ()."""

@@ -6,16 +6,24 @@ that consecutive factors (u, v) satisfy  left_descents(v) subset-of
 right_descents(u) — nothing more can be pulled from v into u.  The
 ``normalize`` factory restores this invariant by local letter bubbling,
 exactly the move that strictly shifts length toward the front, so it
-terminates.
+terminates.  It runs on raw element data through the backend's kernel
+(see ``coxmon.elements``): u is held as itself and v as v^{-1}, since the
+left descents of v are the right descents of v^{-1}; moving the letter i
+from v into u right-multiplies both u and v^{-1} by s_i, and only right
+descent masks are read.  Element objects are built for the final factors
+alone.
 
-Division is decided by stripping atoms: an atom s_i left-divides x iff i is
-a left descent of the first factor, and  d | x  iff the letters of any
-fixed word for d strip off x one by one (sound by left cancellativity).
-Left gcds extract common atoms greedily; right lcms come from word
-reversing with the dihedral complement  i \\ j = alternating word of length
-m_{ij} - 1 starting with j  (an infinite label certifies that no common
-multiple exists).  Right-handed variants of everything go through the
-reversal antiautomorphism rev(s_{i1} ... s_{ik}) = s_{ik} ... s_{i1}.
+The simples form a Garside family (Dehornoy-Digne-Michel, J. Algebra 380,
+2013): a simple s left-divides x iff it left-divides the first factor x_1,
+which in W reads l(s^{-1} x_1) = l(x_1) - l(s).  So division goes one
+normal-form factor of the divisor at a time, with one ``normalize`` of the
+quotient per factor.  Left gcds strip the meet of the two first factors
+(common left descents taken greedily in W) from both sides until that meet
+is trivial; right lcms come from word reversing with the dihedral
+complement  i \\ j = alternating word of length m_{ij} - 1 starting with j
+(an infinite label certifies that no common multiple exists).  Right-handed
+variants of everything go through the reversal antiautomorphism
+rev(s_{i1} ... s_{ik}) = s_{ik} ... s_{i1}.
 """
 
 from __future__ import annotations
@@ -23,7 +31,13 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .elements import StepBudgetExceeded  # re-exported
-from .elements import canonical_word, element_from_word, longest_element
+from .elements import (
+    canonical_word,
+    element_from_word,
+    generator,
+    identity_element,
+    longest_element,
+)
 from .graphs import CoxeterGraph, is_infinite, is_spherical
 
 DEFAULT_STEP_BOUND = 10_000
@@ -54,7 +68,7 @@ class PosBraid(namedtuple("PosBraid", "graph factors")):
             if f.is_identity:
                 raise ValueError("trivial factor in normal form")
         for u, v in zip(factors, factors[1:]):
-            if not v.left_descents <= u.right_descents:
+            if v.left_mask & ~u.right_mask:
                 raise ValueError("factor list is not in left-greedy normal form")
         return tuple.__new__(cls, (graph, factors))
 
@@ -97,31 +111,55 @@ def lift(w) -> PosBraid:
 def normalize(g: CoxeterGraph, simples) -> PosBraid:
     """Left-greedy normal form of a product of simples (W elements)."""
     xs = [f for f in simples if not f.is_identity]
+    if not xs:
+        return PosBraid(g, ())
+    if any(f.graph != g for f in xs):  # rebuilt factors would take g's
+        raise ValueError("factor over another graph")
+    mask, rmul, inverse, element = xs[0].kernel
+    # factor k as raw data: fwd[k] of the element, inv[k] of its inverse,
+    # either None while stale; xs[k] stays the input element until changed
+    fwd = [f.data for f in xs]
+    inv = [None] * len(xs)
     changed = True
     while changed:
         changed = False
         k = 0
-        while k + 1 < len(xs):
-            u, v = xs[k], xs[k + 1]
-            while True:
-                free = v.left_descents - u.right_descents
-                if not free:
-                    break
-                i = min(free)
-                u = u.gen_right(i)
-                v = v.gen_left(i)
-                changed = True
-            xs[k] = u
-            if v.is_identity:
-                del xs[k + 1]
-            else:
-                xs[k + 1] = v
+        while k + 1 < len(fwd):
+            u = fwd[k]
+            if u is None:
+                u = fwd[k] = inverse(inv[k])
+            vi = inv[k + 1]
+            if vi is None:
+                f = xs[k + 1]
+                vi = inv[k + 1] = f.inverse.data if f is not None else inverse(fwd[k + 1])
+            left = mask(vi)
+            free = left & ~mask(u)
+            if not free:
                 k += 1
-    return PosBraid(g, tuple(xs))
+                continue
+            changed = True
+            while free:
+                a = (free & -free).bit_length() - 1
+                u = rmul(u, a)
+                vi = rmul(vi, a)
+                left = mask(vi)
+                free = left & ~mask(u)
+            fwd[k], inv[k], xs[k] = u, None, None
+            if not left:  # v is the identity
+                del fwd[k + 1], inv[k + 1], xs[k + 1]
+            else:
+                fwd[k + 1], inv[k + 1], xs[k + 1] = None, vi, None
+                k += 1
+    factors = []
+    for f, u, ui in zip(xs, fwd, inv):
+        if f is None:
+            f = element(inverse(ui) if u is None else u, ui)
+        factors.append(f)
+    return PosBraid(g, tuple(factors))
 
 
 def braid_from_word(g: CoxeterGraph, letters) -> PosBraid:
-    return normalize(g, [element_from_word(g, (v,)) for v in letters])
+    return normalize(g, [generator(g, v) for v in letters])
 
 
 def multiply(x: PosBraid, y: PosBraid) -> PosBraid:
@@ -140,24 +178,17 @@ def braid_reverse(x: PosBraid) -> PosBraid:
 # -- divisibility ----------------------------------------------------------
 
 
-def _strip_atom_left(x: PosBraid, i: str) -> PosBraid | None:
-    """s_i^{-1} x if the atom divides x on the left, else None."""
-    if not x.factors:
-        return None
-    if i not in x.factors[0].left_descents:
-        return None
-    first = x.factors[0].gen_left(i)
-    return normalize(x.graph, (first,) + x.factors[1:])
-
-
 def _quotient_left(d: PosBraid, x: PosBraid) -> PosBraid | None:
     """d^{-1} x if d divides x on the left, else None."""
-    cur = x
-    for i in d.word():
-        cur = _strip_atom_left(cur, i)
-        if cur is None:
+    for s in d.factors:
+        if not x.factors:
             return None
-    return cur
+        head = x.factors[0]
+        q = s.inverse * head
+        if q.length != head.length - s.length:
+            return None
+        x = normalize(x.graph, (q,) + x.factors[1:])
+    return x
 
 
 def divides(d: PosBraid, x: PosBraid, side: str = "left") -> bool:
@@ -182,29 +213,49 @@ def cancel(d: PosBraid, x: PosBraid, side: str = "left") -> PosBraid:
     return q
 
 
-def gcd(x: PosBraid, y: PosBraid, side: str = "left") -> PosBraid:
-    """Greatest common divisor, by greedy extraction of common atoms.
+def _head_meet(u, v):
+    """For simples u, v: (m, m^{-1} u, m^{-1} v) with m their greatest
+    common left divisor in W, or None when it is trivial.  Common left
+    descents are taken greedily on the raw data of the inverses, which is
+    sound by the same cancellation argument as ``gcd``."""
+    mask, rmul, inverse, element = u.kernel
+    ui, vi = u.inverse.data, v.inverse.data
+    common = mask(ui) & mask(vi)
+    if not common:
+        return None
+    m = identity_element(u.graph, u.backend).data
+    while common:
+        a = (common & -common).bit_length() - 1
+        m = rmul(m, a)
+        ui = rmul(ui, a)
+        vi = rmul(vi, a)
+        common = mask(ui) & mask(vi)
+    return element(m), element(inverse(ui), ui), element(inverse(vi), vi)
 
-    Sound by cancellativity: if the atom a divides both, then
-    gcd(x, y) = a * gcd(a\\x, a\\y); when no atom is common the gcd is
-    trivial (a nontrivial divisor starts with some atom).
+
+def gcd(x: PosBraid, y: PosBraid, side: str = "left") -> PosBraid:
+    """Greatest common divisor, one simple at a time.
+
+    Sound by cancellativity: if the simple m divides both, then
+    gcd(x, y) = m * gcd(m\\x, m\\y).  Take m the meet in W of the first
+    factors; when it is trivial so is the gcd, since a nontrivial divisor
+    starts with some atom, and an atom that divides x divides x_1.
     """
     if side == "right":
         return braid_reverse(gcd(braid_reverse(x), braid_reverse(y), "left"))
     if side != "left":
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     g = x.graph
-    letters = []
-    cx, cy = x, y
-    while cx.factors and cy.factors:
-        common = cx.factors[0].left_descents & cy.factors[0].left_descents
-        if not common:
+    meets = []
+    while x.factors and y.factors:
+        step = _head_meet(x.factors[0], y.factors[0])
+        if step is None:
             break
-        i = min(common)
-        letters.append(i)
-        cx = _strip_atom_left(cx, i)
-        cy = _strip_atom_left(cy, i)
-    return braid_from_word(g, letters)
+        m, qx, qy = step
+        meets.append(m)
+        x = normalize(g, (qx,) + x.factors[1:])
+        y = normalize(g, (qy,) + y.factors[1:])
+    return normalize(g, meets)
 
 
 # -- lcm by word reversing -------------------------------------------------
@@ -284,7 +335,8 @@ def lcm(
     comp = reverse_complement(x.graph, x.word(), y.word(), step_bound)
     if comp is None:
         return None
-    out = multiply(x, braid_from_word(x.graph, comp[0]))
+    g = x.graph
+    out = normalize(g, x.factors + tuple(generator(g, v) for v in comp[0]))
     if not (divides(x, out, "left") and divides(y, out, "left")):  # cheap sanity
         raise RuntimeError("word reversing gave a multiple that one side does not divide")
     return out
