@@ -13,10 +13,16 @@ a_j + 2 cos(pi/m_{ij}) a_i for j != i, and a_i to -a_i.
   right descent exactly when w sends a_v to a negative root.
 
 * Any graph: ``MatrixElement`` stores the representation matrix with
-  ExactScalar entries; column j holds the coordinates of w(a_j).  A
-  generator is a descent exactly when its column is nonpositive, and
-  lengths come from the descent walk (peeling descents until the identity),
-  guarded by a step ceiling against non-group input.
+  ExactScalar entries; column j holds the coordinates of w(a_j).  A product
+  works on the entries' integer coefficient tuples: each entry sums the
+  unreduced polynomial products of its row and column and is reduced mod
+  Psi_N once (``CosField.dot``), and ``gen_left`` builds its new row the
+  same way.  A generator is a descent exactly when its column is
+  nonpositive, and lengths come from the descent walk (peeling descents
+  until the identity), guarded by a step ceiling against non-group input.
+
+The longest element r_J of a spherical parabolic is built once per graph and
+set J, and shared by every caller.
 
 Descent sets are int bitmasks over the vertex index (bit a for
 ``graph.vertices[a]``, so the least set bit is the least vertex); the left
@@ -317,37 +323,24 @@ class MatrixElement(_Element, namedtuple("MatrixElement", "graph matrix")):
     def __mul__(self, other: "MatrixElement") -> "MatrixElement":
         if other.graph != self.graph:
             raise ValueError("product of elements over different graphs")
-        n = self.graph.rank
-        zero = field_for_modulus(self.graph.modulus).zero
-        a, b = self.matrix, other.matrix
+        dot = field_for_modulus(self.graph.modulus).dot
+        # coefficient tuples, () for a zero entry
+        cols = tuple(zip(*([e.coeffs if e else () for e in row] for row in other.matrix)))
         out = []
-        for r in range(n):
-            ar = a[r]
-            row = []
-            for c in range(n):
-                acc = zero
-                for k in range(n):
-                    x = ar[k]
-                    if x and b[k][c]:
-                        acc = acc + x * b[k][c]
-                row.append(acc)
-            out.append(tuple(row))
+        for row in self.matrix:
+            xs = [(k, e.coeffs) for k, e in enumerate(row) if e]
+            out.append(tuple([dot([(x, y) for k, x in xs if (y := col[k])]) for col in cols]))
         return MatrixElement(self.graph, tuple(out))
 
     def gen_left(self, v: str) -> "MatrixElement":
-        """s_v * self: only row a changes."""
+        """s_v * self: only row a changes, to -row a plus cos(a,k) row k."""
         a = self.graph._index[v]
-        row_a = _cos_rows(self.graph)[a]
+        dot = field_for_modulus(self.graph.modulus).dot
+        terms = (((-1,), a), *((x.coeffs, k) for k, x in _cos_rows(self.graph)[a]))
         mat = self.matrix
-        new_row = []
-        for c in range(self.graph.rank):
-            acc = -mat[a][c]
-            for k, x in row_a:
-                y = mat[k][c]
-                if y:
-                    acc = acc + x * y
-            new_row.append(acc)
-        return MatrixElement(self.graph, mat[:a] + (tuple(new_row),) + mat[a + 1:])
+        new_row = tuple([dot([(x, y.coeffs) for x, k in terms if (y := mat[k][c])])
+                         for c in range(self.graph.rank)])
+        return MatrixElement(self.graph, mat[:a] + (new_row,) + mat[a + 1:])
 
     def gen_right(self, v: str) -> "MatrixElement":
         return MatrixElement(self.graph,
@@ -537,13 +530,16 @@ def support(w) -> frozenset:
 
 
 def longest_element(g: CoxeterGraph, subset=None):
-    """Longest element r_J of the standard parabolic W_J, J spherical.
+    """Longest element r_J of the standard parabolic W_J, J spherical (all
+    of g when subset is None); one shared object per graph and set J."""
+    return _longest_element(g, tuple(sorted(g.vertices if subset is None else set(subset))))
 
-    Greedy ascent: repeatedly right-multiply by the least generator of J
+
+@functools.lru_cache(maxsize=None)
+def _longest_element(g: CoxeterGraph, J: tuple):
+    """Greedy ascent: repeatedly right-multiply by the least generator of J
     that is not yet a right descent.  Strictly length-increasing, so it
-    terminates at r_J in exactly l(r_J) steps.
-    """
-    J = tuple(sorted(g.vertices if subset is None else set(subset)))
+    terminates at r_J in exactly l(r_J) steps."""
     bound = positive_root_count(g.restrict(J))
     if bound is None:
         raise ValueError("longest element needs a spherical subset")
@@ -553,7 +549,7 @@ def longest_element(g: CoxeterGraph, subset=None):
         if not free:
             return w
         w = w.gen_right(free[0])
-    raise AssertionError("ascent did not stop at the classification bound")
+    raise RuntimeError("ascent did not stop at the classification bound")
 
 
 def order_of(w, bound: int = DEFAULT_ORDER_BOUND) -> int | None:

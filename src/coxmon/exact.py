@@ -14,6 +14,9 @@ Every scalar the library builds is an algebraic integer in Z[theta]: Psi_N
 is monic with integer coefficients and 2 cos(pi/m) = p_{N/m}(theta), so the
 coefficients are plain ints, and reduction mod Psi_N keeps them ints.  A
 ``Fraction`` appears only where a caller passes a non-integral rational.
+A sum of products, such as an entry of a matrix product, is summed as
+unreduced integer polynomials and reduced once (``CosField.dot``), so it
+costs one reduction and one scalar, not one per product.
 Psi_N is built exactly from the cyclotomic polynomial Phi_2N of
 z = e^(i pi/N): Phi_2N(z) = z^d Psi_N(z + 1/z) (Watkins-Zeitlin 1993), and
 z^k + z^-k = p_k(z + 1/z), so the upper half of the coefficients of Phi_2N
@@ -180,6 +183,33 @@ class CosField(namedtuple("CosField", "modulus psi")):
         c = c + (0,) * (self.degree - len(c))
         return ExactScalar(self, c)
 
+    def dot(self, pairs) -> "ExactScalar":
+        """The sum of x * y over pairs of coefficient tuples, as a scalar.
+
+        The products are summed as unreduced polynomials, and the sum is
+        reduced mod Psi_N once: from the top, each coefficient c of x^k,
+        k >= d, is removed by subtracting c x^(k-d) Psi_N."""
+        psi = self.psi
+        d = len(psi) - 1
+        acc = [0] * (2 * d - 1)
+        for x, y in pairs:
+            i = 0
+            for xi in x:
+                if xi:
+                    k = i
+                    for yj in y:
+                        acc[k] += xi * yj
+                        k += 1
+                i += 1
+        for top in range(2 * d - 2, d - 1, -1):
+            c = acc[top]
+            if c:
+                k = top - d
+                for p in psi[:d]:  # the x^top term itself is dropped below
+                    acc[k] -= c * p
+                    k += 1
+        return ExactScalar(self, tuple(acc[:d]))
+
     @property
     def zero(self) -> "ExactScalar":
         return self.scalar(())
@@ -292,11 +322,7 @@ class ExactScalar(namedtuple("ExactScalar", "field coeffs")):
         o = self._check(other)
         if o is NotImplemented:
             return o
-        prod = poly_mul(self.coeffs, o.coeffs)
-        if len(prod) >= len(self.field.psi):
-            _, prod = poly_divmod_monic(prod, self.field.psi)
-        prod = prod + (0,) * (self.field.degree - len(prod))
-        return ExactScalar(self.field, prod)
+        return self.field.dot(((self.coeffs, o.coeffs),))
 
     __rmul__ = __mul__
 

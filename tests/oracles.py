@@ -20,54 +20,72 @@ import itertools
 from coxmon.graphs import is_infinite
 
 
-def _moves(g, word):
-    """All words one braid move away."""
-    out = []
-    n = len(word)
-    for i in range(n):
-        for j in range(i + 1, n + 1):
-            piece = word[i:j]
-            letters = set(piece)
-            if len(letters) != 2:
-                continue
-            a, b = sorted(letters)
-            m = g.m(a, b)
-            if is_infinite(m) or j - i != m:
-                continue
-            ab = tuple(a if k % 2 == 0 else b for k in range(m))
-            ba = tuple(b if k % 2 == 0 else a for k in range(m))
-            if piece == ab:
-                out.append(word[:i] + ba + word[j:])
-            elif piece == ba:
-                out.append(word[:i] + ab + word[j:])
-    return out
-
-
-# class/canon caches keyed per graph, shared by all representatives of an
-# element, so a closure is computed once per element rather than per word
+# per-graph tables and caches; each function looks its graph up once
+_tables: dict = {}
+# class/canon caches shared by all representatives of an element, so a
+# closure is computed once per element rather than per word
 _classes: dict = {}
 _canons: dict = {}
+
+
+def _per_graph(store, g):
+    table = store.get(g)
+    if table is None:
+        table = store[g] = {}
+    return table
+
+
+def _move_table(g):
+    """(a, b) -> (a b a ..., b a b ...), both of length m(a, b), for every
+    ordered pair of distinct letters with a finite label."""
+    table = _tables.get(g)
+    if table is None:
+        table = _tables[g] = {}
+        for a in g.vertices:
+            for b in g.vertices:
+                m = g.m(a, b)
+                if a != b and not is_infinite(m):
+                    table[a, b] = (tuple((a, b)[k % 2] for k in range(m)),
+                                   tuple((b, a)[k % 2] for k in range(m)))
+    return table
+
+
+def _moves(table, word):
+    """All words one braid move away, for the move table of the graph.  A
+    move swaps an alternating window a b a ... of length m(a, b) for
+    b a b ..., and such a window starts at some i with word[i] !=
+    word[i + 1]: at each such i the one window of length
+    m(word[i], word[i + 1]) is tested."""
+    out = []
+    for i in range(len(word) - 1):
+        a, b = word[i], word[i + 1]
+        if a != b and (a, b) in table:
+            pat, rep = table[a, b]
+            j = i + len(pat)
+            if word[i:j] == pat:
+                out.append(word[:i] + rep + word[j:])
+    return out
 
 
 def word_class(g, word):
     """The full braid-move closure of a positive word (a frozenset)."""
     word = tuple(word)
-    cache = _classes.setdefault(g, {})
+    cache = _per_graph(_classes, g)
     hit = cache.get(word)
     if hit is not None:
         return hit
+    table = _move_table(g)
     seen = {word}
     todo = [word]
     while todo:
-        w = todo.pop()
-        for nxt in _moves(g, w):
+        for nxt in _moves(table, todo.pop()):
             if nxt not in seen:
                 seen.add(nxt)
                 todo.append(nxt)
         assert len(seen) < 500_000, "oracle closure blow-up"
     fs = frozenset(seen)
     small = min(fs)
-    canons = _canons.setdefault(g, {})
+    canons = _per_graph(_canons, g)
     for w in fs:
         cache[w] = fs
         canons[w] = small
@@ -77,7 +95,7 @@ def word_class(g, word):
 def canon(g, word):
     """Lexicographically smallest representative of the class."""
     word = tuple(word)
-    hit = _canons.setdefault(g, {}).get(word)
+    hit = _per_graph(_canons, g).get(word)
     if hit is not None:
         return hit
     return min(word_class(g, word))
@@ -91,29 +109,29 @@ _ldivs: dict = {}
 _rdivs: dict = {}
 
 
+def _divisor_canons(g, word, store, left):
+    """Canonical forms of every left (or right) divisor of the element of
+    ``word``: the classes of the prefixes (suffixes) of the words of its
+    class."""
+    c = canon(g, tuple(word))
+    cache = _per_graph(store, g)
+    hit = cache.get(c)
+    if hit is None:
+        canons = _per_graph(_canons, g)
+        pieces = {w[:k] if left else w[k:]
+                  for w in word_class(g, c) for k in range(len(w) + 1)}
+        hit = cache[c] = frozenset(
+            x if (x := canons.get(p)) is not None else canon(g, p) for p in pieces)
+    return hit
+
+
 def left_divisor_canons(g, word):
     """Canonical forms of every left divisor of the element of ``word``."""
-    c = canon(g, tuple(word))
-    cache = _ldivs.setdefault(g, {})
-    if c not in cache:
-        out = set()
-        for w in word_class(g, c):
-            for k in range(len(w) + 1):
-                out.add(canon(g, w[:k]))
-        cache[c] = frozenset(out)
-    return cache[c]
+    return _divisor_canons(g, word, _ldivs, True)
 
 
 def right_divisor_canons(g, word):
-    c = canon(g, tuple(word))
-    cache = _rdivs.setdefault(g, {})
-    if c not in cache:
-        out = set()
-        for w in word_class(g, c):
-            for k in range(len(w) + 1):
-                out.add(canon(g, w[k:]))
-        cache[c] = frozenset(out)
-    return cache[c]
+    return _divisor_canons(g, word, _rdivs, False)
 
 
 def oracle_divides(g, d, x, side="left"):
@@ -214,4 +232,6 @@ def all_words(g, max_len):
 
 def elements_up_to(g, max_len):
     """Canonical representatives of all monoid elements of length <= max_len."""
-    return sorted({canon(g, w) for w in all_words(g, max_len)}, key=lambda w: (len(w), w))
+    canons = _per_graph(_canons, g)
+    return sorted({x if (x := canons.get(w)) is not None else canon(g, w)
+                   for w in all_words(g, max_len)}, key=lambda w: (len(w), w))

@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -23,7 +24,9 @@ from coxmon import (
     tits_oracle,
     word_reduce,
 )
-from coxmon.elements import _cos_rows, pick_backend
+from coxmon import elements
+from coxmon.elements import MatrixElement, _cos_rows, pick_backend
+from coxmon.exact import ExactScalar, field_for_modulus, poly_divmod_monic, poly_mul
 
 # group orders of small spherical types: |W| = product of (exponents + 1),
 # cross-checked below by breadth-first enumeration
@@ -230,6 +233,16 @@ def test_permutation_kernel_identities():
     assert (e * e).is_identity and not e.left_descents
 
 
+def seeded_graphs(seed, count=30):
+    """Random graphs of rank at most 4 with labels in {2, ..., 6, inf}."""
+    rng = random.Random(seed)
+    labels = (2, 3, 4, 5, 6, INFINITY)
+    for _ in range(count):
+        verts = [str(k) for k in range(rng.randint(1, 4))]
+        yield rng, CoxeterGraph.from_edges(verts, [
+            (a, b, rng.choice(labels)) for a, b in itertools.combinations(verts, 2)])
+
+
 def test_matrix_entries_have_int_coefficients():
     # every scalar of the reflection representation lies in Z[theta]: the
     # 2cos table, the identity and seeded products all keep plain int
@@ -237,12 +250,8 @@ def test_matrix_entries_have_int_coefficients():
     def ints(scalars):
         return all(type(c) is int for x in scalars for c in x.coeffs)
 
-    rng = random.Random(3)
-    labels = (2, 3, 4, 5, 6, INFINITY)
-    for _ in range(30):
-        verts = [str(k) for k in range(rng.randint(1, 4))]
-        g = CoxeterGraph.from_edges(verts, [
-            (a, b, rng.choice(labels)) for a, b in itertools.combinations(verts, 2)])
+    for rng, g in seeded_graphs(3):
+        verts = g.vertices
         assert all(ints(c for _, c in row) for row in _cos_rows(g))
         e = identity_element(g, "matrix")
         assert all(ints(row) for row in e.matrix)
@@ -252,3 +261,130 @@ def test_matrix_entries_have_int_coefficients():
                 w = w.gen_right(v) if rng.random() < 0.5 else w.gen_left(v)
             for x in (w, w * w, w.inverse):
                 assert all(ints(row) for row in x.matrix), g
+
+
+# -- the matrix product against scalar-by-scalar arithmetic ----------------
+
+
+def scalar_mul(x, y):
+    """x * y by one polynomial product reduced mod Psi_N by long division,
+    apart from ``CosField.dot``."""
+    psi = x.field.psi
+    prod = poly_mul(x.coeffs, y.coeffs)
+    if len(prod) >= len(psi):
+        _, prod = poly_divmod_monic(prod, psi)
+    return ExactScalar(x.field, prod + (0,) * (len(psi) - 1 - len(prod)))
+
+
+def scalar_product(u, v):
+    """u * v entry by entry, each scalar product reduced on its own and
+    the products added up as scalars: the route the fused product
+    replaced."""
+    n = u.graph.rank
+    zero = field_for_modulus(u.graph.modulus).zero
+    a, b = u.matrix, v.matrix
+    rows = []
+    for r in range(n):
+        row = []
+        for c in range(n):
+            acc = zero
+            for k in range(n):
+                if a[r][k] and b[k][c]:
+                    acc = acc + scalar_mul(a[r][k], b[k][c])
+            row.append(acc)
+        rows.append(tuple(row))
+    return MatrixElement(u.graph, tuple(rows))
+
+
+def scalar_gen_left(w, v):
+    """s_v * w by the same scalar arithmetic: row a becomes -row a plus
+    2cos(pi/m_ak) times row k."""
+    a = w.graph._index[v]
+    mat = w.matrix
+    row = []
+    for c in range(w.graph.rank):
+        acc = -mat[a][c]
+        for k, x in _cos_rows(w.graph)[a]:
+            if mat[k][c]:
+                acc = acc + scalar_mul(x, mat[k][c])
+        row.append(acc)
+    return MatrixElement(w.graph, mat[:a] + (tuple(row),) + mat[a + 1:])
+
+
+def test_fused_matrix_product_matches_scalar_arithmetic():
+    degrees = set()
+    for rng, g in seeded_graphs(11):
+        degrees.add(field_for_modulus(g.modulus).degree)
+        e = identity_element(g, "matrix")
+        elts = [e]
+        for _ in range(4):
+            w = e
+            for v in (rng.choice(g.vertices) for _ in range(rng.randint(0, 8))):
+                w = w.gen_right(v)
+            elts.append(w)
+        for u in elts:
+            assert (u * u.inverse).matrix == e.matrix, g
+            for v in elts:
+                assert (u * v).matrix == scalar_product(u, v).matrix, g
+            for v in g.vertices:
+                assert u.gen_left(v).matrix == scalar_gen_left(u, v).matrix, g
+    assert {1, 2, 4, 8} <= degrees
+
+
+def test_fused_matrix_product_with_fraction_entries():
+    # a hand-built matrix over Q(2 cos(pi/12)) with non-integral
+    # coefficients: not a group element, but products must still be exact
+    g = named_graph("B3")
+    f = field_for_modulus(g.modulus)
+    q = MatrixElement(g, (
+        (f.scalar((Fraction(1, 2), 1)), f.zero, f.scalar((0, Fraction(-3, 4)))),
+        (f.one, f.scalar((Fraction(5, 3),)), f.zero),
+        (f.scalar((0, Fraction(1, 7))), f.scalar((2, -1)), f.scalar((Fraction(-1, 2),))),
+    ))
+    w = identity_element(g, "matrix")
+    for v in "12312":
+        w = w.gen_right(v)
+    for x, y in ((q, q), (q, w), (w, q), (q * q, q)):
+        assert (x * y).matrix == scalar_product(x, y).matrix
+    for v in g.vertices:
+        assert q.gen_left(v).matrix == scalar_gen_left(q, v).matrix
+    # over Q(sqrt 2): (1/2 + t)^2 = 1/4 + t + t^2 = 9/4 + t with t^2 = 2
+    half = (Fraction(1, 2), 1)
+    assert field_for_modulus(4).dot([(half, half)]).coeffs == (Fraction(9, 4), 1)
+
+
+# -- longest elements --------------------------------------------------------
+
+
+def test_longest_element_is_one_object_per_subset():
+    g = named_graph("A3")
+    r = longest_element(g, {"2", "1"})
+    assert longest_element(g, ["1", "2"]) is r
+    assert longest_element(g, ("2", "1")) is r
+    assert longest_element(g) is longest_element(g, g.vertices)
+
+
+ATILDE2 = CoxeterGraph.from_edges("123", [("1", "2", 3), ("2", "3", 3), ("1", "3", 3)])
+
+
+def test_longest_element_on_every_spherical_subset():
+    for g in (named_graph("A4"), named_graph("B4"), named_graph("H3"), ATILDE2):
+        for k in range(len(g.vertices) + 1):
+            for J in itertools.combinations(g.vertices, k):
+                bound = positive_root_count(g.restrict(J))
+                if bound is None:
+                    with pytest.raises(ValueError):
+                        longest_element(g, J)
+                    continue
+                r = longest_element(g, J)
+                assert length(r) == bound, (g, J)
+                assert set(J) <= descents(r, "right"), (g, J)  # no free generator
+
+
+def test_longest_element_ascent_past_its_bound_raises(monkeypatch):
+    # a bound below l(r_J) must raise, not return a shorter element, and
+    # not through an assert (which python -O strips)
+    g = CoxeterGraph.from_edges("xy", [("x", "y", 3)])
+    monkeypatch.setattr(elements, "positive_root_count", lambda sub: 1)
+    with pytest.raises(RuntimeError):
+        longest_element(g)
