@@ -20,7 +20,7 @@ import itertools
 from coxmon.graphs import is_infinite
 
 
-# per-graph tables and caches; each function looks its graph up once
+# braid-move tables keyed per graph
 _tables: dict = {}
 # class/canon caches shared by all representatives of an element, so a
 # closure is computed once per element rather than per word
