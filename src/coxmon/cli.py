@@ -20,7 +20,6 @@ import argparse
 import json
 import os
 import sys
-import traceback
 
 from .graphs import (
     CoxeterGraph,
@@ -540,7 +539,10 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except Exception:
-        # an internal error decides nothing, so it must not read as exit 1
+        # an internal error decides nothing, so it must not read as exit 1;
+        # traceback is imported only here, to keep it out of every start
+        import traceback
+
         traceback.print_exc()
         return EXIT_UNKNOWN
 

@@ -16,12 +16,20 @@ partition reduces to admissibility of each pair of blocks.
         block (but (i) failed): never admissible, and the alternating word
         of length 3 starting on that vertex's side is a witness;
   (iii) the two blocks span a spherical subgraph: the order m of r_a r_b
-        is exact; compatibility of both alternating words up to m decides;
-  (iv)  the subgraph is infinite but r_a r_b has finite order m found
-        within the bound: same exhaustive test up to m, also conclusive;
-  (v)   otherwise scan alternating words up to the bound; a failure is a
+        is exact (from the cycles of its root permutation); compatibility
+        of both alternating words up to m decides;
+  (iv)  the subgraph is infinite, but the scan below finds the order m
+        within the bound: the same exhaustive test up to m, also conclusive;
+  (v)   otherwise both words are scanned up to the bound; a failure is a
         witness, and full success is only an "Unknown" unless a
         certificate applies.
+
+The scan of (iii)-(v) finds m on its way.  Let P_n(a) and P_n(b) be the
+alternating products of n factors starting with r_a and with r_b, and
+w = r_a r_b.  Then P_n(a) = P_n(b) exactly when m divides n: for n = 2k
+they are w^k and w^-k, and for n = 2k+1 they are w^k r_a and w^-k r_b,
+equal iff w^(2k+1) = 1.  So both words are built in lockstep, one factor
+each per step, and the first n at which they agree is m.
 
 Certificates that upgrade Unknown to Admissible: the pair/partition equals
 the orbit partition of the subgroup of graph automorphisms stabilizing its
@@ -39,7 +47,7 @@ from __future__ import annotations
 import itertools
 from collections import namedtuple
 
-from .elements import identity_element, is_compatible, longest_element
+from .elements import is_compatible, longest_element
 from .graphs import (
     INFINITY,
     CoxeterGraph,
@@ -234,34 +242,43 @@ def _isolated_vertex(g: CoxeterGraph, a, b):
 
 
 def pair_order(g: CoxeterGraph, alpha, beta, bound: int = DEFAULT_BOUND):
-    """Order of r_alpha r_beta: exact over a spherical restriction, else a
-    power scan up to the bound (None past it)."""
+    """Order of r_alpha r_beta, for callers that need the order alone:
+    exact over a spherical restriction, else a power scan up to the bound
+    (None past it).  ``check_pair`` reads the order off its alternating
+    scan instead."""
     carrier = tuple(sorted(set(alpha) | set(beta)))
     gr = g.restrict(carrier)
     w = longest_element(gr, alpha) * longest_element(gr, beta)
     return w.order(bound)
 
 
-def _scan_alternating(gr: CoxeterGraph, alpha, beta, n_max: int):
-    """Check compatibility of both alternating words up to n_max factors.
+def _scan_alternating(gr: CoxeterGraph, alpha, beta, limit: int):
+    """Build both alternating words in lockstep, up to ``limit`` factors.
 
-    Returns (witness, products): witness is None when everything is
-    additive, in which case products maps 'alpha'/'beta' to the group
-    element of the full n_max-factor word.
+    Returns (witness, m, product).  The scan stops at the first failure of
+    the alpha word, the preferred witness, with m and product None.
+    Otherwise it stops at the first n <= limit where the two products
+    agree, which is the order m, with product P_m; the witness is then the
+    first failure of the beta word, or None.  m is None when the words do
+    not agree within the limit.
     """
-    products = {}
-    for first, x, y in (("alpha", alpha, beta), ("beta", beta, alpha)):
-        rx = longest_element(gr, x)
-        ry = longest_element(gr, y)
-        w = identity_element(gr)
-        for n in range(1, n_max + 1):
-            block, r = (x, rx) if n % 2 else (y, ry)
-            # l(w r_B) = l(w) + l(r_B) iff w has no right descent in B
-            if any(v in w.right_descents for v in block):
-                return IncompatibleWord(tuple(alpha), tuple(beta), n, first), None
-            w = w * r
-        products[first] = w
-    return None, products
+    index = gr._index
+    mask_a = sum(1 << index[v] for v in alpha)
+    mask_b = sum(1 << index[v] for v in beta)
+    ra, rb = longest_element(gr, alpha), longest_element(gr, beta)
+    pa, pb = ra, rb
+    beta_witness = None
+    for n in range(2, limit + 1):
+        odd = n % 2
+        # l(w r_B) = l(w) + l(r_B) iff w has no right descent in B
+        if pa.right_mask & (mask_a if odd else mask_b):
+            return IncompatibleWord(alpha, beta, n, "alpha"), None, None
+        if beta_witness is None and pb.right_mask & (mask_b if odd else mask_a):
+            beta_witness = IncompatibleWord(alpha, beta, n, "beta")
+        pa, pb = (pa * ra, pb * rb) if odd else (pa * rb, pb * ra)
+        if pa == pb:
+            return beta_witness, n, pa
+    return beta_witness, None, None
 
 
 def _refusal(g: CoxeterGraph, witness, bound: int, pair, reason: str):
@@ -309,10 +326,20 @@ def check_pair(
                 f"vertex {i0} has only label-2 edges into the other block",
             )
 
-    # (iii)/(iv): with the order m in hand, compatibility up to m decides;
-    # (v) order out of reach: scan to the bound, then look for a certificate
-    m = pair_order(gr, alpha, beta, bound)
-    witness, products = _scan_alternating(gr, alpha, beta, bound if m is None else m)
+    # (iii) the order over a spherical carrier is exact, and the scan must
+    # meet it; (iv) over an infinite one the scan finds it within the
+    # bound; (v) or it runs to the bound, then looks for a certificate
+    spherical = is_spherical(gr)
+    exact = pair_order(gr, alpha, beta) if spherical else None
+    witness, m, product = _scan_alternating(
+        gr, alpha, beta, bound if exact is None else exact)
+    if witness is not None and witness.first == "alpha":
+        # the scan stopped at the alpha word, before the order; the reason
+        # still quotes it
+        m = exact if spherical else pair_order(gr, alpha, beta, bound)
+    elif spherical and m != exact:
+        raise RuntimeError(f"alternating products of {pair} first agree at"
+                           f" {m} factors, not at the order {exact}")
     if witness is not None:
         order = "" if m is None else f" (order of r_a r_b is {m})"
         return _refusal(
@@ -322,10 +349,8 @@ def check_pair(
     if m is not None:
         # over a spherical carrier the compatible products of m factors
         # must both be its longest element
-        if is_spherical(gr):
-            w0 = longest_element(gr, carrier)
-            if products["alpha"] != w0 or products["beta"] != w0:
-                raise RuntimeError(f"alternating products of {pair} are not w0")
+        if spherical and product != longest_element(gr, carrier):
+            raise RuntimeError(f"alternating products of {pair} are not w0")
         return AdmissibilityVerdict(
             "admissible",
             bound,
@@ -503,16 +528,20 @@ def partition_type(
     for i in range(k):
         for j in range(i + 1, k):
             a, b = p.blocks[i], p.blocks[j]
-            m = pair_order(p.graph, a, b, bound)
-            if m is None:
-                carrier = tuple(sorted(a + b))
-                if not is_spherical(p.graph.restrict(carrier)):
-                    if assume_admissible:
-                        m = INFINITY
-                    else:
-                        v = check_pair(p.graph, a, b, bound)
-                        if v.is_admissible and v.certificate is not None:
-                            m = INFINITY  # admissible, infinite restriction
+            v = None
+            if not (assume_admissible or is_spherical(p.graph.restrict(a + b))):
+                # one pair check decides the entry and finds the order
+                v = check_pair(p.graph, a, b, bound)
+            if v is None or v.outcome == "not_admissible":
+                m = pair_order(p.graph, a, b, bound)
+                if m is None and assume_admissible:
+                    m = INFINITY  # admissible, infinite restriction
+            elif isinstance(v.certificate, ExhaustiveFiniteCertificate):
+                m = v.certificate.order
+            elif v.is_admissible:
+                m = INFINITY  # certified admissible, infinite restriction
+            else:
+                m = None
             orders[i][j] = orders[j][i] = m
     return PartitionType(p, tuple(tuple(row) for row in orders), bound)
 
@@ -714,7 +743,8 @@ def classify_2partitions(
                 continue
             verdict = check_pair(g, a, b, bound)
             if verdict.is_admissible:
-                admissible.append((p, pair_order(g, a, b, bound)))
+                # over a spherical carrier the certificate is exhaustive
+                admissible.append((p, verdict.certificate.order))
             elif verdict.outcome == "not_admissible":
                 eliminated.append(
                     (p, "direct", f"witness n={verdict.witness.n}"

@@ -248,14 +248,15 @@ def test_console_entry_point():
 
 def test_spherical_commands_load_neither_mpmath_nor_dataclasses():
     # the combinatorial route of a spherical command needs no real numbers
-    # and no class generation; mpmath loads on the first sign that needs
-    # enclosures, and that sign is right
+    # and no class generation, and a run without an internal error prints
+    # no traceback; mpmath loads on the first sign that needs enclosures,
+    # and that sign is right
     code = """
 import contextlib, io, sys
 from coxmon.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [main(["check-partition", "E8", "bipartite"]), main(["normal-form", "A3", "1,2"])]
-print(codes, "mpmath" in sys.modules, "dataclasses" in sys.modules)
+print(codes, *(m in sys.modules for m in ("mpmath", "dataclasses", "traceback")))
 from coxmon.exact import field_for_modulus
 print(field_for_modulus(5).scalar((-2, 1)).sign(), "mpmath" in sys.modules)
 """
@@ -264,4 +265,4 @@ print(field_for_modulus(5).scalar((-2, 1)).sign(), "mpmath" in sys.modules)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
-    assert proc.stdout.split("\n")[:2] == ["[0, 0] False False", "-1 True"]
+    assert proc.stdout.split("\n")[:2] == ["[0, 0] False False False", "-1 True"]
