@@ -18,7 +18,8 @@ run past it, and low enough that a non-spherical pair whose word starting
 with beta fails at length 5, and whose word starting with alpha would fail
 only at 6, is refused with a witness starting with beta.  No pair here
 reaches rung (iv), a non-spherical carrier with r_a r_b of finite order
-within the bound: none turned up over seeded graphs of rank 4 and 5 either.
+within the bound: a floating-point power scan over every labelling of
+rank 4, and over seeded graphs of rank 5, found no such pair.
 """
 
 import itertools
