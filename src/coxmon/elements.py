@@ -6,11 +6,17 @@ a_j + 2 cos(pi/m_{ij}) a_i for j != i, and a_i to -a_i.
 
 * Spherical graph: the root system is finite, and the action on roots is a
   faithful permutation action.  ``RootPermElement`` stores the image of all
-  2P roots as a tuple of indices, where index r < P is a positive root and
-  index r + P is its negation.  Composition is tuple indexing through
-  ``operator.itemgetter`` (one stored getter per generator row); the length
-  of w is the number of positive roots sent to negative roots, and v is a
-  right descent exactly when w sends a_v to a negative root.
+  2P roots as a table of indices, where index r < P is a positive root and
+  index r + P is its negation.  When 2P <= 256 (E8 has P = 120, and A_n,
+  B_n, D_n and I2(m) qualify up to n = 15, 11, 11 and m = 128) the table is
+  ``bytes``, padded to 256 entries with the identity, so that
+  ``bytes.translate`` composes two permutations and ``bytes.maketrans``
+  inverts one in C; larger root systems keep tuples, composed through
+  ``operator.itemgetter``.  ``root_system`` picks the form once per graph,
+  from the root count, and hands the element code the operations of that
+  form.  The length of w is the number of positive roots sent to negative
+  roots, and v is a right descent exactly when w sends a_v to a negative
+  root.
 
 * Any graph: ``MatrixElement`` stores the representation matrix with
   ExactScalar entries; column j holds the coordinates of w(a_j).  A product
@@ -29,9 +35,9 @@ Descent sets are int bitmasks over the vertex index (bit a for
 mask of w is the right mask of w^{-1}, and ``right_descents`` /
 ``left_descents`` are the same sets as frozensets of vertex names.  Each
 backend also offers three operations on raw element data (a permutation
-tuple, or matrix rows), gathered per graph in a ``Kernel``: the right
-descent mask, right multiplication by the generator at a vertex index, and
-the inverse.  An element is the identity exactly when its mask is 0, so
+table, or matrix rows), gathered per graph in a ``Kernel``: the right
+descent mask, right multiplication by the generator at each vertex index,
+and the inverse.  An element is the identity exactly when its mask is 0, so
 loops that walk an element down to the identity (``canonical_word``, the
 monoid's ``normalize``) need nothing else and serve both backends.
 
@@ -80,15 +86,21 @@ def _cos_rows(g: CoxeterGraph) -> tuple:
 
 
 class RootSystem(namedtuple(
-        "RootSystem", "n_positive simple_index action getters identity")):
+        "RootSystem", "n_positive simple_index action rmul identity translate inverse length")):
     """Permutation tables of the finite root system of a spherical graph;
     root r < P is the r-th sorted positive root, root r + P its negation.
 
+    A permutation is a ``bytes`` table padded to 256 entries with the
+    identity when 2P <= 256, and a tuple of the 2P images otherwise.
     ``simple_index[a]`` is the root index of the simple root of vertex
-    ``graph.vertices[a]``,
-    ``action[a][r]`` is the index of s_{v_a}(root r), ``getters[a](perm)``
-    is perm composed with ``action[a]``, and ``identity`` is the identity
-    permutation of the 2P roots."""
+    ``graph.vertices[a]``, ``action[a]`` is the permutation of the
+    generator at vertex index a (``action[a][r]`` is the index of
+    s_{v_a}(root r)), ``rmul[a](perm)`` is perm composed with ``action[a]``
+    (right multiplication by that generator), and ``identity`` is the
+    identity permutation.  The three other fields are the operations of
+    the table form: ``translate(p, q)`` is the permutation r -> q[p[r]] of
+    the product q * p, ``inverse(perm)`` the inverse permutation and
+    ``length(perm)`` the number of positive roots sent to negative roots."""
 
     __slots__ = ()
 
@@ -108,7 +120,8 @@ def root_system(g: CoxeterGraph) -> RootSystem:
     """The positive roots as the closure of the simple roots under the
     reflections: s_a sends a_a to -a_a and permutes the other positive
     roots (Humphreys, Reflection Groups and Coxeter Groups, Prop. 1.4), so
-    each image is computed once and no sign test is needed."""
+    each image is computed once and no sign test is needed.  The tables are
+    256-byte ``bytes`` when 2P <= 256 and tuples otherwise."""
     if not is_spherical(g):
         raise ValueError("root_system needs a spherical graph")
     rows = _cos_rows(g)
@@ -133,9 +146,53 @@ def root_system(g: CoxeterGraph) -> RootSystem:
     for a in range(g.rank):
         half = [r + P if images[k][a] is None else pos[images[k][a]]
                 for r, k in enumerate(order)]
-        action.append(tuple(half + [(x + P) % (2 * P) for x in half]))
-    return RootSystem(P, tuple(pos[a] for a in range(g.rank)), tuple(action),
-                      tuple(itemgetter(*row) for row in action), tuple(range(2 * P)))
+        action.append(half + [(x + P) % (2 * P) for x in half])
+    simple_index = tuple(pos[a] for a in range(g.rank))
+    if 2 * P <= 256:
+        return _byte_root_system(P, simple_index, action)
+    return _tuple_root_system(P, simple_index, action)
+
+
+_BYTE_IDENTITY = bytes(range(256))
+
+
+def _byte_inverse(perm: bytes) -> bytes:
+    return bytes.maketrans(perm, _BYTE_IDENTITY)
+
+
+def _byte_root_system(P: int, simple_index: tuple, action: list) -> RootSystem:
+    """Permutations as 256-byte tables: ``q.translate(p)`` reads q through
+    p, and the padding past 2P is fixed by every table."""
+    action = tuple(bytes(row) + _BYTE_IDENTITY[2 * P:] for row in action)
+    negative = bytes(P) + b"\x01" * P + bytes(256 - 2 * P)
+
+    def length(perm: bytes) -> int:
+        return perm[:P].translate(negative).count(1)
+
+    return RootSystem(P, simple_index, action, tuple(row.translate for row in action),
+                      _BYTE_IDENTITY, bytes.translate, _byte_inverse, length)
+
+
+def _tuple_translate(perm: tuple, table: tuple) -> tuple:
+    return itemgetter(*perm)(table)
+
+
+def _tuple_inverse(perm: tuple) -> tuple:
+    inv = [0] * len(perm)
+    for r, x in enumerate(perm):
+        inv[x] = r
+    return tuple(inv)
+
+
+def _tuple_root_system(P: int, simple_index: tuple, action: list) -> RootSystem:
+    """Permutations as tuples of the 2P images, for more than 256 roots."""
+    action = tuple(tuple(row) for row in action)
+
+    def length(perm: tuple) -> int:
+        return sum(1 for r in range(P) if perm[r] >= P)
+
+    return RootSystem(P, simple_index, action, tuple(itemgetter(*row) for row in action),
+                      tuple(range(2 * P)), _tuple_translate, _tuple_inverse, length)
 
 
 # -- descents and raw operations -------------------------------------------
@@ -210,13 +267,6 @@ def _perm_mask(rs: RootSystem):
     return mask
 
 
-def _perm_inverse(perm) -> tuple:
-    inv = [0] * len(perm)
-    for r, x in enumerate(perm):
-        inv[x] = r
-    return tuple(inv)
-
-
 class RootPermElement(_Element, namedtuple("RootPermElement", "graph perm rs")):
     """An element as a permutation of the roots.  Equality, hash and repr
     read only ``graph`` and ``perm``: ``rs`` is the graph's RootSystem."""
@@ -242,16 +292,16 @@ class RootPermElement(_Element, namedtuple("RootPermElement", "graph perm rs")):
     def __mul__(self, other: "RootPermElement") -> "RootPermElement":
         if other.graph != self.graph:
             raise ValueError("product of elements over different graphs")
-        perm = itemgetter(*other.perm)(self.perm) if other.perm else ()
-        return RootPermElement(self.graph, perm, self.rs)
+        return RootPermElement(self.graph, self.rs.translate(other.perm, self.perm), self.rs)
 
     def gen_left(self, v: str) -> "RootPermElement":
-        row = self.rs.action[self.graph._index[v]]
-        return RootPermElement(self.graph, itemgetter(*self.perm)(row), self.rs)
+        rs = self.rs
+        row = rs.action[self.graph._index[v]]
+        return RootPermElement(self.graph, rs.translate(self.perm, row), rs)
 
     def gen_right(self, v: str) -> "RootPermElement":
-        get = self.rs.getters[self.graph._index[v]]
-        return RootPermElement(self.graph, get(self.perm), self.rs)
+        rmul = self.rs.rmul[self.graph._index[v]]
+        return RootPermElement(self.graph, rmul(self.perm), self.rs)
 
     @property
     def is_identity(self) -> bool:
@@ -259,19 +309,19 @@ class RootPermElement(_Element, namedtuple("RootPermElement", "graph perm rs")):
 
     @_cached
     def length(self) -> int:
-        P = self.rs.n_positive
-        return sum(1 for r in range(P) if self.perm[r] >= P)
+        return self.rs.length(self.perm)
 
     @_cached
     def inverse(self) -> "RootPermElement":
-        return RootPermElement(self.graph, _perm_inverse(self.perm), self.rs)
+        return RootPermElement(self.graph, self.rs.inverse(self.perm), self.rs)
 
     def order(self, bound: int = DEFAULT_ORDER_BOUND) -> int:
         """Exact order: the action on roots is faithful, so this is the lcm
         of the cycle lengths (returned even when it exceeds the bound)."""
-        seen = [False] * len(self.perm)
+        n_roots = 2 * self.rs.n_positive
+        seen = [False] * n_roots
         out = 1
-        for r in range(len(self.perm)):
+        for r in range(n_roots):
             if not seen[r]:
                 n, x = 0, r
                 while not seen[x]:
@@ -404,10 +454,11 @@ class MatrixElement(_Element, namedtuple("MatrixElement", "graph matrix")):
 
 class Kernel(namedtuple("Kernel", "mask rmul inverse element")):
     """The raw operations of one backend over one graph, on element data:
-    ``mask(data)`` is the right descent mask, ``rmul(data, a)`` the data of
-    w * s_{vertices[a]}, ``inverse(data)`` the data of w^{-1}, and
-    ``element(data, inv=None)`` builds the element, with its inverse
-    cached when the data of the inverse is given."""
+    ``mask(data)`` is the right descent mask, ``rmul[a](data)`` the data of
+    w * s_{vertices[a]} (one callable per vertex index: the root system's
+    ``rmul``, or ``_matrix_rmul`` bound to the graph and a), ``inverse(data)``
+    the data of w^{-1}, and ``element(data, inv=None)`` builds the element,
+    with its inverse cached when the data of the inverse is given."""
 
     __slots__ = ()
 
@@ -417,18 +468,17 @@ def kernel(g: CoxeterGraph, backend: str) -> Kernel:
     """The kernel of the ``backend`` ("perm" or "matrix") over g."""
     if pick_backend(g, backend) == "perm":
         rs = root_system(g)
-        getters = rs.getters
 
         def make(perm):
             return RootPermElement(g, perm, rs)
 
-        ops = (_perm_mask(rs), lambda perm, a: getters[a](perm),
-               _perm_inverse)
+        ops = (_perm_mask(rs), rs.rmul, rs.inverse)
     else:
         def make(rows):
             return MatrixElement(g, rows)
 
-        ops = (functools.partial(_matrix_mask, g), functools.partial(_matrix_rmul, g),
+        ops = (functools.partial(_matrix_mask, g),
+               tuple(functools.partial(_matrix_rmul, g, a=a) for a in range(g.rank)),
                lambda rows: make(rows).inverse.matrix)
 
     def element(data, inv=None):
@@ -517,7 +567,7 @@ def canonical_word(w) -> tuple:
     while m:
         a = (m & -m).bit_length() - 1
         letters.append(vertices[a])
-        cur = rmul(cur, a)
+        cur = rmul[a](cur)
         m = mask(cur)
     out = tuple(letters)
     w.__dict__["_canon"] = out

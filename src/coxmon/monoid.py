@@ -140,8 +140,8 @@ def normalize(g: CoxeterGraph, simples) -> PosBraid:
             changed = True
             while free:
                 a = (free & -free).bit_length() - 1
-                u = rmul(u, a)
-                vi = rmul(vi, a)
+                u = rmul[a](u)
+                vi = rmul[a](vi)
                 left = mask(vi)
                 free = left & ~mask(u)
             fwd[k], inv[k], xs[k] = u, None, None
@@ -226,9 +226,9 @@ def _head_meet(u, v):
     m = identity_element(u.graph, u.backend).data
     while common:
         a = (common & -common).bit_length() - 1
-        m = rmul(m, a)
-        ui = rmul(ui, a)
-        vi = rmul(vi, a)
+        m = rmul[a](m)
+        ui = rmul[a](ui)
+        vi = rmul[a](vi)
         common = mask(ui) & mask(vi)
     return element(m), element(inverse(ui), ui), element(inverse(vi), vi)
 

@@ -1,8 +1,8 @@
 """Validation must not depend on ``assert``: run the graph, record, exact,
-element, non-spherical property, partition, pair-route, monoid, morphism
-and CLI tests again under ``python -O``, which strips assert statements
-from the library (pytest still rewrites the asserts of the test
-modules)."""
+element, permutation-kernel, non-spherical property, partition, pair-route,
+monoid, monoid-route, morphism and CLI tests again under ``python -O``,
+which strips assert statements from the library (pytest still rewrites the
+asserts of the test modules)."""
 
 import os
 import pathlib
@@ -19,9 +19,10 @@ def test_suite_subset_passes_under_optimize():
     proc = subprocess.run(
         [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
          "tests/test_graphs.py", "tests/test_records.py", "tests/test_exact.py",
-         "tests/test_elements.py", "tests/test_nonspherical.py",
+         "tests/test_elements.py", "tests/test_perm_kernel.py",
+         "tests/test_nonspherical.py",
          "tests/test_partitions.py", "tests/test_pair_routes.py",
-         "tests/test_monoid.py",
+         "tests/test_monoid.py", "tests/test_monoid_routes.py",
          "tests/test_morphisms.py", "tests/test_cli.py"],
         cwd=ROOT, env=env, capture_output=True, text=True,
     )
