@@ -217,8 +217,8 @@ def test_orders_divide_group_order():
 
 
 def test_permutation_kernel_identities():
-    # left descents read off the permutation, identity by tuple equality,
-    # and the itemgetter products, against their definitions
+    # left descents read off the permutation, identity by table equality,
+    # and the translate products, against their definitions
     for name in ("A3", "B3", "H3", "I2(5)"):
         g = named_graph(name)
         for w in enumerate_group(g, "perm"):
@@ -228,7 +228,7 @@ def test_permutation_kernel_identities():
             for v in g.vertices:
                 assert w.gen_right(v) == w * generator(g, v)
                 assert w.gen_left(v) == generator(g, v) * w
-    # the rank-0 group: empty permutations still compose
+    # the rank-0 group: the padding alone still composes
     e = identity_element(CoxeterGraph((), ()))
     assert (e * e).is_identity and not e.left_descents
 
