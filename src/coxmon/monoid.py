@@ -21,13 +21,19 @@ quotient per factor.  Left gcds strip the meet of the two first factors
 (common left descents taken greedily in W) from both sides until that meet
 is trivial; right lcms come from word reversing with the dihedral
 complement  i \\ j = alternating word of length m_{ij} - 1 starting with j
-(an infinite label certifies that no common multiple exists).  Right-handed
-variants of everything go through the reversal antiautomorphism
-rev(s_{i1} ... s_{ik}) = s_{ik} ... s_{i1}.
+(an infinite label certifies that no common multiple exists).  Reversing
+rewrites the leftmost negative-positive pair first; the part of the word
+left of that pair is settled, positive letters then negative ones, so the
+word is held as two stacks of vertex indices (settled negatives, unread
+letters) beside the settled positives, and each step pops one letter from
+each stack and pushes their rewrite, read from a table built once per
+graph.  Right-handed variants of everything go through the reversal
+antiautomorphism rev(s_{i1} ... s_{ik}) = s_{ik} ... s_{i1}.
 """
 
 from __future__ import annotations
 
+import functools
 from collections import namedtuple
 
 from .elements import StepBudgetExceeded  # re-exported
@@ -261,8 +267,27 @@ def gcd(x: PosBraid, y: PosBraid, side: str = "left") -> PosBraid:
 # -- lcm by word reversing -------------------------------------------------
 
 
-def _alternating(first: str, second: str, n: int) -> tuple:
+def _alternating(first, second, n: int) -> tuple:
     return tuple((first, second)[k % 2] for k in range(n))
+
+
+@functools.lru_cache(maxsize=None)
+def _push_table(g: CoxeterGraph) -> tuple:
+    """What reversing pushes onto its stack of unread letters for the pair
+    a^{-1} b, by vertex index: push[a][b] holds b\\a negated (~c for the
+    letter c) followed by a\\b reversed, so a\\b is read first; () when
+    a = b, None for an infinite label."""
+    n = g.rank
+    push = [[None] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            m = g.matrix[a][b]
+            if a == b:
+                push[a][b] = ()
+            elif not is_infinite(m):
+                push[a][b] = (tuple(~c for c in _alternating(a, b, m - 1))
+                              + _alternating(b, a, m - 1)[::-1])
+    return tuple(map(tuple, push))
 
 
 def reverse_complement(g: CoxeterGraph, u, v, step_bound: int | None = None):
@@ -276,43 +301,43 @@ def reverse_complement(g: CoxeterGraph, u, v, step_bound: int | None = None):
     (u\\v)(v\\u)^{-1}.  Raises StepBudgetExceeded after step_bound steps
     (default: ``default_step_bound(g)``).
 
-    After a rewrite at position k the pairs left of k - 1 are unchanged,
-    and none of them was negative-positive, so the scan for the next
-    leftmost pair resumes at k - 1 (Dehornoy, "Complete positive group
-    presentations", J. Algebra 268, 2003); the rewrite of each letter pair
-    is built once per call.
+    Left of the leftmost negative-positive pair the word is settled:
+    positive letters, then negative ones.  A rewrite at position k keeps
+    it settled up to k - 1, so the next leftmost pair is the last settled
+    letter with the first letter of the rewrite, or lies further right
+    (Dehornoy, "Complete positive group presentations", J. Algebra 268,
+    2003).  So the word is held by vertex index as the settled positives
+    ``pos``, a stack ``neg`` of the settled negatives and a stack ``rest``
+    of the unread letters (i positive, ~i negative, leftmost on top); a
+    positive letter read while ``neg`` is nonempty is one step, which
+    pushes the rewrite of (top of ``neg``)^{-1} (letter) onto ``rest``.
+    These are the leftmost-first steps, one for one.  The rewrites are
+    built once per graph (``_push_table``).
     """
     if step_bound is None:
         step_bound = default_step_bound(g)
-    word = [(a, -1) for a in reversed(tuple(u))] + [(b, +1) for b in tuple(v)]
+    index = g._index
+    push = _push_table(g)
+    pos = []
+    neg = [index[a] for a in reversed(tuple(u))]
+    rest = [index[b] for b in reversed(tuple(v))]
     steps = 0
-    rewrites = {}  # (a, b) -> the signed word replacing a^{-1} b
-    k = 0  # no negative-positive pair starts left of k
-    while True:
-        end = len(word) - 1
-        while k < end and not (word[k][1] < 0 and word[k + 1][1] > 0):
-            k += 1
-        if k >= end:
-            pos = [a for a, s in word if s > 0]
-            neg = [a for a, s in word if s < 0]
-            return tuple(pos), tuple(reversed(neg))
-        steps += 1
-        if steps > step_bound:
-            raise StepBudgetExceeded(f"word reversing passed {step_bound} steps")
-        a, b = word[k][0], word[k + 1][0]
-        rewrite = rewrites.get((a, b))
-        if rewrite is None:
-            if a == b:
-                rewrite = []
-            else:
-                m = g.m(a, b)
-                if is_infinite(m):
-                    return None
-                rewrite = ([(c, +1) for c in _alternating(b, a, m - 1)]
-                           + [(c, -1) for c in reversed(_alternating(a, b, m - 1))])
-            rewrites[a, b] = rewrite
-        word[k:k + 2] = rewrite
-        k = max(k - 1, 0)
+    while rest:
+        b = rest.pop()
+        if b < 0:
+            neg.append(~b)
+        elif not neg:
+            pos.append(b)
+        else:
+            steps += 1
+            if steps > step_bound:
+                raise StepBudgetExceeded(f"word reversing passed {step_bound} steps")
+            rewrite = push[neg.pop()][b]
+            if rewrite is None:
+                return None
+            rest += rewrite
+    names = g.vertices
+    return tuple([names[a] for a in pos]), tuple([names[a] for a in reversed(neg)])
 
 
 def lcm(
@@ -336,7 +361,7 @@ def lcm(
     if comp is None:
         return None
     g = x.graph
-    out = normalize(g, x.factors + tuple(generator(g, v) for v in comp[0]))
+    out = normalize(g, x.factors + tuple([generator(g, v) for v in comp[0]]))
     if not (divides(x, out, "left") and divides(y, out, "left")):  # cheap sanity
         raise RuntimeError("word reversing gave a multiple that one side does not divide")
     return out

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 
+from coxmon import StepBudgetExceeded
 from coxmon.graphs import is_infinite
 
 
@@ -235,3 +236,34 @@ def elements_up_to(g, max_len):
     canons = _per_graph(_canons, g)
     return sorted({x if (x := canons.get(w)) is not None else canon(g, w)
                    for w in all_words(g, max_len)}, key=lambda w: (len(w), w))
+
+
+def reverse_rescanning(g, u, v, step_bound):
+    """Word reversing that looks for the leftmost negative-positive pair
+    from index 0 after every rewrite: ((u\\v, v\\u) or None, steps used);
+    StepBudgetExceeded past step_bound steps."""
+    word = [(a, -1) for a in reversed(u)] + [(b, +1) for b in v]
+    steps = 0
+    while True:
+        k = None
+        for p in range(len(word) - 1):
+            if word[p][1] < 0 and word[p + 1][1] > 0:
+                k = p
+                break
+        if k is None:
+            pos = tuple(a for a, s in word if s > 0)
+            neg = tuple(a for a, s in word if s < 0)
+            return (pos, neg[::-1]), steps
+        steps += 1
+        if steps > step_bound:
+            raise StepBudgetExceeded(f"passed {step_bound} steps")
+        a, b = word[k][0], word[k + 1][0]
+        if a == b:
+            del word[k:k + 2]
+            continue
+        m = g.m(a, b)
+        if is_infinite(m):
+            return None, steps
+        head = [((b, a)[j % 2], +1) for j in range(m - 1)]
+        tail = [((a, b)[j % 2], -1) for j in range(m - 1)][::-1]
+        word[k:k + 2] = head + tail

@@ -31,6 +31,7 @@ from oracles import (
     oracle_divides,
     oracle_gcd,
     oracle_nf,
+    reverse_rescanning,
     verify_lcm,
 )
 
@@ -267,48 +268,21 @@ def test_multiplication_associates(u, v, w):
 # -- word reversing against a rescan-from-the-start copy ----------------------
 
 
-def _reverse_rescanning(g, u, v, step_bound):
-    """The reversing loop that looks for the leftmost negative-positive pair
-    from index 0 after every rewrite: ((u\\v, v\\u) or None, steps used)."""
-    word = [(a, -1) for a in reversed(u)] + [(b, +1) for b in v]
-    steps = 0
-    while True:
-        k = None
-        for p in range(len(word) - 1):
-            if word[p][1] < 0 and word[p + 1][1] > 0:
-                k = p
-                break
-        if k is None:
-            pos = tuple(a for a, s in word if s > 0)
-            neg = tuple(a for a, s in word if s < 0)
-            return (pos, neg[::-1]), steps
-        steps += 1
-        if steps > step_bound:
-            raise StepBudgetExceeded(f"passed {step_bound} steps")
-        a, b = word[k][0], word[k + 1][0]
-        if a == b:
-            del word[k:k + 2]
-            continue
-        m = g.m(a, b)
-        if m == float("inf"):
-            return None, steps
-        head = [((b, a)[j % 2], +1) for j in range(m - 1)]
-        tail = [((a, b)[j % 2], -1) for j in range(m - 1)][::-1]
-        word[k:k + 2] = head + tail
-
-
 def test_reversing_matches_the_rescanning_loop():
     # same complements, and the same least budget: one step fewer raises
     cap = 2_000
     atilde2 = CoxeterGraph.from_edges("123", [("1", "2", 3), ("2", "3", 3), ("1", "3", 3)])
-    graphs = [named_graph(n) for n in ("A3", "B3", "H3", "I2(5)", "I2(inf)")] + [atilde2]
+    graphs = [(named_graph(n), 8) for n in ("A3", "B3", "H3", "I2(5)", "I2(inf)")]
+    graphs.append((atilde2, 8))
+    # the spherical graphs of the benchmark, with longer words
+    graphs += [(named_graph(n), 12) for n in ("E6", "E8", "F4", "H4", "D6", "A8")]
     rng = random.Random(11)
-    for g in graphs:
+    for g, max_len in graphs:
         for _ in range(40):
-            u, v = ([rng.choice(g.vertices) for _ in range(rng.randint(0, 8))]
+            u, v = ([rng.choice(g.vertices) for _ in range(rng.randint(0, max_len))]
                     for _ in range(2))
             try:
-                expected, n = _reverse_rescanning(g, u, v, cap)
+                expected, n = reverse_rescanning(g, u, v, cap)
             except StepBudgetExceeded:
                 with pytest.raises(StepBudgetExceeded):
                     reverse_complement(g, u, v, cap)
@@ -316,7 +290,7 @@ def test_reversing_matches_the_rescanning_loop():
             assert reverse_complement(g, u, v, n) == expected, (g, u, v)
             if n:
                 with pytest.raises(StepBudgetExceeded):
-                    _reverse_rescanning(g, u, v, n - 1)
+                    reverse_rescanning(g, u, v, n - 1)
                 with pytest.raises(StepBudgetExceeded):
                     reverse_complement(g, u, v, n - 1)
 

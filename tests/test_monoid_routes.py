@@ -4,8 +4,9 @@ test-local copies of the letter-level routes it replaced.
 The copies below work on element objects one letter at a time: ``normalize``
 bubbles letters between neighbouring factors through ``gen_left`` and
 ``gen_right`` and the frozenset descent sets, a divisor is stripped one atom
-at a time with a full normalization after each, and the left gcd collects
-common atoms one by one.  Production ``normalize`` runs on raw element data
+at a time with a full normalization after each, the left gcd collects
+common atoms one by one, and the right lcm takes its complement from the
+rescan-from-the-start reversing of ``oracles``.  Production ``normalize`` runs on raw element data
 and divides one simple factor at a time, so agreement between the two is a
 check of the new kernel.  A second test checks the descent masks of every
 element of B3 and H3, on both backends, against lengths.
@@ -28,7 +29,8 @@ from coxmon import (
     named_graph,
 )
 from coxmon.elements import canonical_word
-from coxmon.monoid import normalize, reverse_complement
+from coxmon.monoid import normalize
+from oracles import reverse_rescanning
 
 STEP_BOUND = 2_000
 
@@ -98,7 +100,7 @@ def ref_gcd_left(g, x, y):
 
 
 def ref_lcm_right(g, x, y):
-    comp = reverse_complement(g, ref_word(x), ref_word(y), STEP_BOUND)
+    comp, _ = reverse_rescanning(g, ref_word(x), ref_word(y), STEP_BOUND)
     if comp is None:
         return None
     return ref_normalize(x + tuple(generator(g, v) for v in comp[0]))
