@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import pathlib
@@ -266,3 +267,109 @@ print(field_for_modulus(5).scalar((-2, 1)).sign(), "mpmath" in sys.modules)
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
     assert proc.stdout.split("\n")[:2] == ["[0, 0] False False False", "-1 True"]
+
+
+# -- golden output ---------------------------------------------------------
+
+# argv (with {open} for a graph file that has an infinite label), exit
+# code, and the first 16 hex digits of the sha256 of stdout, recorded
+# before the report records and the CLI encoders were unified: every
+# subcommand in text and JSON, the exit 1, 2 and 3 cases, and each help
+# text at 80 columns
+GOLDEN = [
+    ("check-partition A3 bipartite", 0, "5f7ef0b28b6261eb"),
+    ("check-partition A3 bipartite --json", 0, "9dc280790a687b05"),
+    ("check-partition B3 bipartite", 0, "d722502c7bf614c0"),
+    ("check-partition B3 bipartite --json", 0, "edfe428c0610bc9c"),
+    ("check-partition H4 1,4/2,3", 1, "817a623eb22f801a"),
+    ("check-partition H4 1,4/2,3 --json", 1, "baa439e4be994eae"),
+    ("check-partition A3 1/2,3", 1, "926c2d0de7537bb5"),
+    ("check-partition A3 1/2,3 --json", 1, "5de20bf24676fd52"),
+    ("check-partition {open} 1,3/2 --bound 10", 2, "5c166a109574c3e7"),
+    ("check-partition {open} 1,3/2 --bound 10 --json", 2, "27b6f690281f2fcd"),
+    ("check-partition A3 1,2/2,3", 3, "e3b0c44298fc1c14"),
+    ("check-partition A3 1,2/2,3 --json", 3, "e3b0c44298fc1c14"),
+    ("type E6 1,2,6/3,4,5", 0, "bf8f1682ed197165"),
+    ("type E6 1,2,6/3,4,5 --json", 0, "33e38062e3b04032"),
+    ("type {open} 1,3/2 --bound 10", 2, "567f26336c188d35"),
+    ("type {open} 1,3/2 --bound 10 --json", 2, "9d544180c1253539"),
+    ("classify A4", 0, "6060ccebc98b488b"),
+    ("classify A4 --json", 0, "e563d2f82f902d97"),
+    ("classify F4", 0, "d1ff3129ab191092"),
+    ("classify F4 --json", 0, "281ec3ebf4f9704c"),
+    ("burst B2 --copies 3", 0, "c70dcbf8c2e8886d"),
+    ("burst B2 --copies 3 --json", 0, "d3a70061e10d5c0e"),
+    ("burst I2(inf)", 0, "6c1a4de53086e035"),
+    ("burst I2(inf) --json", 0, "b0331039db7effbe"),
+    ("verify-burst H3", 0, "4cd0d0ba7fa18b62"),
+    ("verify-burst H3 --json", 0, "42fa639a2d79bdb9"),
+    ("verify-burst I2(inf)", 0, "29b4fa0107268e85"),
+    ("verify-burst I2(inf) --json", 0, "d1c44561811c5eff"),
+    ("normal-form A2 1,1,2,1", 0, "2f6fd3e4d077333f"),
+    ("normal-form A2 1,1,2,1 --json", 0, "d79402b42bb5a79c"),
+    ("normal-form A3 -", 0, "21c3675576656027"),
+    ("normal-form A3 - --json", 0, "0019b2c38859e93a"),
+    ("normal-form A3 1,9", 3, "e3b0c44298fc1c14"),
+    ("normal-form A3 1,9 --json", 3, "e3b0c44298fc1c14"),
+    ("lcm A2 1 2", 0, "41f71e872294c29b"),
+    ("lcm A2 1 2 --json", 0, "545a0e8aeb2f0649"),
+    ("lcm E8 1,3,2 4,5 --side left", 0, "24c6c97b7c78e551"),
+    ("lcm E8 1,3,2 4,5 --side left --json", 0, "2ac1ebd46e045407"),
+    ("lcm I2(inf) 1 2", 1, "0cadb6bfcb66af10"),
+    ("lcm I2(inf) 1 2 --json", 1, "79a10bf3e275fec0"),
+    ("lcm Atilde3 1,3 2,4 --steps 500", 2, "e3b0c44298fc1c14"),
+    ("lcm Atilde3 1,3 2,4 --steps 500 --json", 2, "e3b0c44298fc1c14"),
+    ("gcd A2 1,1,2 1,2", 0, "337cd3be69f23e1a"),
+    ("gcd A2 1,1,2 1,2 --json", 0, "9bcdcc53cad1bdc4"),
+    ("gcd B3 1,2,3 3,2,1 --side right", 0, "21c3675576656027"),
+    ("gcd B3 1,2,3 3,2,1 --side right --json", 0, "5da60371e6f8124c"),
+    ("morphism-verify B3 bipartite --pairs 10 --samples 5", 0, "254d86a428e4aed9"),
+    ("morphism-verify B3 bipartite --pairs 10 --samples 5 --json", 0, "cdaac13d20dd8f33"),
+    ("morphism-verify Atilde3 1,3/2,4 --pairs 4 --samples 2 --max-len 3 --steps 50", 0, "97cc2f66eec8b863"),
+    ("morphism-verify Atilde3 1,3/2,4 --pairs 4 --samples 2 --max-len 3 --steps 50 --json", 0, "8b707ac1534369cb"),
+    ("folding E6 F4 1:1,6:1,3:2,5:2,4:3,2:4", 0, "f91fec8b3774c474"),
+    ("folding E6 F4 1:1,6:1,3:2,5:2,4:3,2:4 --json", 0, "8963f8b7f7682ef6"),
+    ("folding A3 I2(3) 1:1,3:1,2:2", 1, "cf5d66fc317d8ebc"),
+    ("folding A3 I2(3) 1:1,3:1,2:2 --json", 1, "5033a7579b98fc7b"),
+    ("folding I2(inf) A1 1:1,2:1", 3, "e3b0c44298fc1c14"),
+    ("folding I2(inf) A1 1:1,2:1 --json", 3, "e3b0c44298fc1c14"),
+    ("fixed-points A3 1:3,3:1,2:2 --length-bound 6", 0, "9518fdd2dc1b63f1"),
+    ("fixed-points A3 1:3,3:1,2:2 --length-bound 6 --json", 0, "83b1fa208b5d8f7b"),
+    ("fixed-points A3 1:3,3:1,2:2 --length-bound 8 --budget 5", 2, "e3b0c44298fc1c14"),
+    ("fixed-points A3 1:3,3:1,2:2 --length-bound 8 --budget 5 --json", 2, "e3b0c44298fc1c14"),
+    ("orbits D4", 0, "2cd94dc97871b862"),
+    ("orbits D4 --json", 0, "ad8dd1112b03ba04"),
+    ("orbits A3 1:3,3:1,2:2", 0, "a8e69a8f4d15a0b4"),
+    ("orbits A3 1:3,3:1,2:2 --json", 0, "24bd7929d1438e3e"),
+    ("--help", 0, "c6b580269cd2af3f"),
+    ("check-partition --help", 0, "a2da79695a996e2d"),
+    ("type --help", 0, "f9edf36f758d2fa6"),
+    ("classify --help", 0, "201ab70fdc20ae25"),
+    ("burst --help", 0, "ce74926c32cc088e"),
+    ("verify-burst --help", 0, "3362c54b1dd5b11d"),
+    ("normal-form --help", 0, "62dadd5c603203a9"),
+    ("lcm --help", 0, "66d788b6fc6d811c"),
+    ("gcd --help", 0, "f41dd88313f6a3d7"),
+    ("morphism-verify --help", 0, "5b4ecbf2741ad0df"),
+    ("folding --help", 0, "e0cec48e801e3943"),
+    ("fixed-points --help", 0, "512b164d54c6d4dd"),
+    ("orbits --help", 0, "8e894e56d19851de"),
+]
+# argparse lays out help text differently from one Python release to the
+# next; the help digests were recorded with this one
+HELP_PYTHON = (3, 11)
+
+
+@pytest.mark.parametrize("argv, code, digest", GOLDEN, ids=[g[0] for g in GOLDEN])
+def test_golden_output(capsys, monkeypatch, tmp_path, argv, code, digest):
+    if "--help" in argv and sys.version_info[:2] != HELP_PYTHON:
+        pytest.skip(f"help digests are for Python {HELP_PYTHON}")
+    monkeypatch.setenv("COLUMNS", "80")
+    graph = tmp_path / "open.graph"
+    graph.write_text("edge 1 2 3\nedge 2 3 inf\n")
+    try:
+        got = main(argv.format(open=graph).split())
+    except SystemExit as e:  # --help
+        got = e.code
+    out = capsys.readouterr().out
+    assert (got, hashlib.sha256(out.encode()).hexdigest()[:16]) == (code, digest), out
