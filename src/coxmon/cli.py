@@ -143,24 +143,20 @@ def _emit(args, lines, payload) -> None:
             print(line)
 
 
+# records are encoded through their own fields (tuples become JSON arrays)
+_CERTIFICATE_KINDS = {
+    ExhaustiveFiniteCertificate: "exhaustive_finite",
+    OrbitCertificate: "orbit",
+    LiftCertificate: "lift",
+}
+
+
 def _certificate_json(cert):
     if cert is None:
         return None
-    if isinstance(cert, ExhaustiveFiniteCertificate):
-        return {"kind": "exhaustive_finite", "order": cert.order}
-    if isinstance(cert, OrbitCertificate):
-        return {
-            "kind": "orbit",
-            "group_order": cert.group_order,
-            "orbits": [list(o) for o in cert.orbits],
-        }
     if isinstance(cert, LiftCertificate):
-        return {
-            "kind": "lift",
-            "outer": cert.outer.to_json(),
-            "inner": cert.inner.to_json(),
-        }
-    return {"kind": type(cert).__name__}
+        cert = LiftCertificate(cert.outer.to_json(), cert.inner.to_json())
+    return {"kind": _CERTIFICATE_KINDS[type(cert)], **cert._asdict()}
 
 
 def _verdict_json(v: AdmissibilityVerdict) -> dict:
@@ -169,17 +165,10 @@ def _verdict_json(v: AdmissibilityVerdict) -> dict:
         "bound": v.bound,
         "reason": v.reason,
         "certificate": _certificate_json(v.certificate),
-        "witness": None,
+        "witness": None if v.witness is None else v.witness._asdict(),
     }
-    if v.witness is not None:
-        out["witness"] = {
-            "alpha": list(v.witness.alpha),
-            "beta": list(v.witness.beta),
-            "n": v.witness.n,
-            "first": v.witness.first,
-        }
     if v.pair is not None:
-        out["pair"] = [list(v.pair[0]), list(v.pair[1])]
+        out["pair"] = v.pair
     return out
 
 
@@ -198,10 +187,12 @@ def _verdict_lines(v: AdmissibilityVerdict) -> list:
     return lines
 
 
-def _verdict_exit(v: AdmissibilityVerdict) -> int:
-    return {"admissible": EXIT_OK, "not_admissible": EXIT_FAIL}.get(
-        v.outcome, EXIT_UNKNOWN
-    )
+def _verdict_exit(v: AdmissibilityVerdict, ok=None) -> int:
+    """0 when ``ok`` (by default: when v is admissible), else 2 when v is
+    unknown and 1 when it is a certified negative."""
+    if v.is_admissible if ok is None else ok:
+        return EXIT_OK
+    return EXIT_UNKNOWN if v.outcome == "unknown" else EXIT_FAIL
 
 
 def _braid_text(x) -> str:
@@ -283,22 +274,18 @@ def cmd_verify_burst(args) -> int:
     lines = [f"copies: {b.copies}"]
     lines += _verdict_lines(rep.verdict)
     lines.append(f"type matches original: {rep.type_matches}")
-    for pair, ok, detail in rep.infinite_pair_structure:
-        lines.append(f"infinite pair {pair}: {'ok' if ok else detail}")
+    for c in rep.infinite_pair_structure:
+        lines.append(f"infinite pair {c.name}: {'ok' if c.ok else c.detail}")
     lines.append("burst verified" if rep.ok else "burst verification FAILED")
     _emit(args, lines, {
         "copies": b.copies,
         "verdict": _verdict_json(rep.verdict),
         "type_matches": rep.type_matches,
-        "infinite_pairs": [
-            {"pair": list(p), "ok": ok, "detail": d}
-            for p, ok, d in rep.infinite_pair_structure
-        ],
+        "infinite_pairs": [{"pair": c.name, "ok": c.ok, "detail": c.detail}
+                           for c in rep.infinite_pair_structure],
         "ok": rep.ok,
     })
-    if rep.ok:
-        return EXIT_OK
-    return EXIT_UNKNOWN if rep.verdict.outcome == "unknown" else EXIT_FAIL
+    return _verdict_exit(rep.verdict, rep.ok)
 
 
 def cmd_normal_form(args) -> int:
@@ -309,11 +296,11 @@ def cmd_normal_form(args) -> int:
     return EXIT_OK
 
 
-def _cmd_binop(args, op) -> int:
+def cmd_lcm_gcd(args) -> int:
     g = load_graph(args.graph)
     x = braid_from_word(g, parse_word(args.x))
     y = braid_from_word(g, parse_word(args.y))
-    if op == "gcd":
+    if args.command == "gcd":
         z = gcd(x, y, args.side)
     else:
         z = lcm(x, y, args.side, args.steps)
@@ -325,14 +312,6 @@ def _cmd_binop(args, op) -> int:
     return EXIT_OK
 
 
-def cmd_lcm(args) -> int:
-    return _cmd_binop(args, "lcm")
-
-
-def cmd_gcd(args) -> int:
-    return _cmd_binop(args, "gcd")
-
-
 def cmd_morphism_verify(args) -> int:
     g = load_graph(args.graph)
     p = load_partition(g, args.partition)
@@ -341,9 +320,9 @@ def cmd_morphism_verify(args) -> int:
     rn = verify_respects_normal_forms(m, args.samples, args.max_len, args.seed)
     lines = [f"source type: {m.source.to_text().rstrip()}".replace("\n", "; ")]
     for rep in (rl, rn):
-        for name, ok, detail in rep.checks:
-            lines.append(f"{'pass' if ok else 'FAIL'}: {name}"
-                         + ("" if ok else f"  [{detail}]"))
+        for c in rep.checks:
+            lines.append(f"{'pass' if c.ok else 'FAIL'}: {c.name}"
+                         + ("" if c.ok else f"  [{c.detail}]"))
         for name, reason in rep.skipped:
             lines.append(f"skip: {name}  [{reason}]")
     ok = rl.ok and rn.ok
@@ -351,14 +330,8 @@ def cmd_morphism_verify(args) -> int:
     _emit(args, lines, {
         "source": m.source.to_json(),
         "partition": p.to_json(),
-        "checks": [
-            {"name": n, "ok": o, "detail": d}
-            for n, o, d in rl.checks + rn.checks
-        ],
-        "skipped": [
-            {"name": n, "reason": r}
-            for n, r in rl.skipped + rn.skipped
-        ],
+        "checks": [c._asdict() for c in rl.checks + rn.checks],
+        "skipped": [{"name": n, "reason": r} for n, r in rl.skipped + rn.skipped],
         "ok": ok,
     })
     return EXIT_OK if ok else EXIT_FAIL
@@ -388,9 +361,7 @@ def cmd_folding(args) -> int:
         ],
         "ok": rep.ok,
     })
-    if rep.ok:
-        return EXIT_OK
-    return EXIT_UNKNOWN if rep.verdict.outcome == "unknown" else EXIT_FAIL
+    return _verdict_exit(rep.verdict, rep.ok)
 
 
 def cmd_fixed_points(args) -> int:
@@ -406,8 +377,8 @@ def cmd_fixed_points(args) -> int:
     _emit(args, lines, {
         "partition": rep.partition.to_json(),
         "type": rep.ptype.to_json(),
-        "fixed_counts": list(rep.fixed_counts),
-        "generated_counts": list(rep.generated_counts),
+        "fixed_counts": rep.fixed_counts,
+        "generated_counts": rep.generated_counts,
         "ok": rep.ok,
     })
     return EXIT_OK if rep.ok else EXIT_FAIL
@@ -439,63 +410,47 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser)
 
-    def add(name, func, help, **defaults):
+    def add(name, func, help, *positionals, copies=False, bound=False):
+        """A subcommand with --json, the positionals, then --copies and
+        --bound when asked for."""
         p = sub.add_parser(name, help=help)
-        p.set_defaults(func=func, **defaults)
+        p.set_defaults(func=func)
         p.add_argument("--json", action="store_true",
                        help="machine-readable output")
+        for arg in positionals:
+            p.add_argument(arg)
+        if copies:
+            p.add_argument("--copies", type=_positive, default=None)
+        if bound:
+            p.add_argument("--bound", type=_positive, default=DEFAULT_BOUND)
         return p
 
-    p = add("check-partition", cmd_check_partition,
-            "decide admissibility of a partition")
-    p.add_argument("graph")
-    p.add_argument("partition")
-    p.add_argument("--bound", type=_positive, default=DEFAULT_BOUND)
+    add("check-partition", cmd_check_partition,
+        "decide admissibility of a partition", "graph", "partition", bound=True)
+    add("type", cmd_type, "Coxeter matrix of an admissible partition",
+        "graph", "partition", bound=True)
+    add("classify", cmd_classify,
+        "all admissible 2-partitions of a spherical graph", "graph", bound=True)
+    add("burst", cmd_burst, "the burst of a graph", "graph", copies=True)
+    add("verify-burst", cmd_verify_burst,
+        "re-check admissibility and type of a burst", "graph", copies=True,
+        bound=True)
+    add("normal-form", cmd_normal_form,
+        "left-greedy normal form of a positive word", "graph", "word")
 
-    p = add("type", cmd_type, "Coxeter matrix of an admissible partition")
-    p.add_argument("graph")
-    p.add_argument("partition")
-    p.add_argument("--bound", type=_positive, default=DEFAULT_BOUND)
-
-    p = add("classify", cmd_classify,
-            "all admissible 2-partitions of a spherical graph")
-    p.add_argument("graph")
-    p.add_argument("--bound", type=_positive, default=DEFAULT_BOUND)
-
-    p = add("burst", cmd_burst, "the burst of a graph")
-    p.add_argument("graph")
-    p.add_argument("--copies", type=_positive, default=None)
-
-    p = add("verify-burst", cmd_verify_burst,
-            "re-check admissibility and type of a burst")
-    p.add_argument("graph")
-    p.add_argument("--copies", type=_positive, default=None)
-    p.add_argument("--bound", type=_positive, default=DEFAULT_BOUND)
-
-    p = add("normal-form", cmd_normal_form,
-            "left-greedy normal form of a positive word")
-    p.add_argument("graph")
-    p.add_argument("word")
-
-    p = add("lcm", cmd_lcm, "least common multiple of two positive words")
-    p.add_argument("graph")
-    p.add_argument("x")
-    p.add_argument("y")
+    p = add("lcm", cmd_lcm_gcd, "least common multiple of two positive words",
+            "graph", "x", "y")
     p.add_argument("--side", choices=("left", "right"), default="right")
     p.add_argument("--steps", type=_positive, default=None,
                    help="reversing budget (default: scaled to the graph)")
 
-    p = add("gcd", cmd_gcd, "greatest common divisor of two positive words")
-    p.add_argument("graph")
-    p.add_argument("x")
-    p.add_argument("y")
+    p = add("gcd", cmd_lcm_gcd, "greatest common divisor of two positive words",
+            "graph", "x", "y")
     p.add_argument("--side", choices=("left", "right"), default="left")
 
     p = add("morphism-verify", cmd_morphism_verify,
-            "build the morphism of an admissible partition and test it")
-    p.add_argument("graph")
-    p.add_argument("partition")
-    p.add_argument("--bound", type=_positive, default=DEFAULT_BOUND)
+            "build the morphism of an admissible partition and test it",
+            "graph", "partition", bound=True)
     p.add_argument("--pairs", type=_positive, default=200)
     p.add_argument("--samples", type=_positive, default=100)
     p.add_argument("--max-len", type=_positive, default=6)
@@ -503,26 +458,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=_positive, default=None,
                    help="reversing budget (default: scaled to the graph)")
 
-    p = add("folding", cmd_folding, "check a vertex surjection as a folding")
-    p.add_argument("source")
-    p.add_argument("base")
+    p = add("folding", cmd_folding, "check a vertex surjection as a folding",
+            "source", "base", bound=True)
     p.add_argument("mapping", help="from:to pairs joined by commas")
-    p.add_argument("--bound", type=_positive, default=DEFAULT_BOUND)
 
     p = add("fixed-points", cmd_fixed_points,
-            "compare automorphism fixed points with the orbit submonoid")
-    p.add_argument("graph")
+            "compare automorphism fixed points with the orbit submonoid", "graph")
     p.add_argument("automorphism", nargs="+",
                    help="from:to pairs joined by commas")
     p.add_argument("--length-bound", type=_non_negative, required=True)
     p.add_argument("--budget", type=_positive, default=200_000)
 
     p = add("orbits", cmd_orbits,
-            "spherical orbit partition of a group of automorphisms")
-    p.add_argument("graph")
+            "spherical orbit partition of a group of automorphisms", "graph",
+            bound=True)
     p.add_argument("automorphism", nargs="*",
                    help="from:to pairs; full Aut when omitted")
-    p.add_argument("--bound", type=_positive, default=DEFAULT_BOUND)
 
     return parser
 

@@ -235,12 +235,17 @@ def parse_graph(text: str) -> CoxeterGraph:
     return CoxeterGraph.from_edges(set(vertices), edges)
 
 
-def graph_from_json(obj: dict) -> CoxeterGraph:
-    edges = []
-    for e in obj.get("edges", []):
-        m = e["m"]
-        edges.append((e["i"], e["j"], label_from_text(m) if isinstance(m, str) else m))
-    return CoxeterGraph.from_edges(obj["vertices"], edges)
+def graph_from_json(obj) -> CoxeterGraph:
+    """The inverse of ``CoxeterGraph.to_json``; ValueError on a wrong shape."""
+    edges = obj.get("edges", []) if isinstance(obj, dict) else None
+    if not (isinstance(edges, list) and isinstance(obj.get("vertices"), list)
+            and all(isinstance(e, dict) and {"i", "j", "m"} <= e.keys() for e in edges)):
+        raise ValueError('a JSON graph is {"vertices": [...], "edges":'
+                         ' [{"i": ..., "j": ..., "m": ...}, ...]}')
+    return CoxeterGraph.from_edges(obj["vertices"], [
+        (e["i"], e["j"], label_from_text(e["m"]) if isinstance(e["m"], str) else e["m"])
+        for e in edges
+    ])
 
 
 # -- named graphs ---------------------------------------------------------
@@ -491,7 +496,7 @@ def is_direct_product(g: CoxeterGraph, blocks) -> bool:
 
 # -- automorphisms and isomorphisms ---------------------------------------
 
-_SIZE_LIMIT = 16
+ISOMORPHISM_RANK_LIMIT = 16  # the largest rank the backtracking search takes on
 
 
 def _signature(g: CoxeterGraph, v: str):
@@ -501,8 +506,8 @@ def _signature(g: CoxeterGraph, v: str):
 def isomorphisms(g1: CoxeterGraph, g2: CoxeterGraph) -> list:
     """All label-preserving bijections g1 -> g2 as dicts; backtracking
     search, capped at 16 vertices."""
-    if max(g1.rank, g2.rank) > _SIZE_LIMIT:
-        raise ValueError(f"isomorphism search capped at {_SIZE_LIMIT} vertices")
+    if max(g1.rank, g2.rank) > ISOMORPHISM_RANK_LIMIT:
+        raise ValueError(f"isomorphism search capped at {ISOMORPHISM_RANK_LIMIT} vertices")
     if g1.rank != g2.rank:
         return []
     sig1 = {v: _signature(g1, v) for v in g1.vertices}

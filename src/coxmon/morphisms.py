@@ -38,7 +38,6 @@ from collections import namedtuple
 
 from .elements import canonical_word, longest_element
 from .graphs import (
-    INFINITY,
     CoxeterGraph,
     bipartite_classes,
     classify_spherical,
@@ -64,6 +63,7 @@ from .partitions import (
     DEFAULT_BOUND,
     AdmissibilityVerdict,
     BlockPartition,
+    Check,
     LiftCertificate,
     block_partition,
     check_admissible,
@@ -129,17 +129,17 @@ def apply_morphism(m: AdmissibleMorphism, x: PosBraid) -> PosBraid:
 
 class VerificationReport(namedtuple(
         "VerificationReport", "label checks skipped", defaults=((),))):
-    """``checks`` holds (name, passed, detail); ``skipped`` holds
-    (name, reason) for checks undecided within the step budget."""
+    """``checks`` holds ``Check``s; ``skipped`` holds (name, reason) for
+    checks undecided within the step budget."""
 
     __slots__ = ()
 
     @property
     def ok(self) -> bool:
-        return all(passed for _, passed, _ in self.checks)
+        return all(c.ok for c in self.checks)
 
     def failures(self):
-        return [(n, d) for n, passed, d in self.checks if not passed]
+        return [(c.name, c.detail) for c in self.checks if not c.ok]
 
 
 def _random_source_elements(m: AdmissibleMorphism, rng, count, max_len):
@@ -180,16 +180,13 @@ def verify_respects_lcm(
             continue
         if src is None or tgt is None:
             ok = src is None and tgt is None
-            checks.append(
-                (f"lcm atoms {na},{nb}", ok, "no common multiple on both sides"
-                 if ok else "existence mismatch")
-            )
+            checks.append(Check(
+                f"lcm atoms {na},{nb}", ok, "no common multiple on both sides"
+                if ok else "existence mismatch"))
         else:
             img = apply_morphism(m, src)
-            checks.append(
-                (f"lcm atoms {na},{nb}", img.factors == tgt.factors,
-                 f"phi(lcm)={img!r} lcm(phi)={tgt!r}")
-            )
+            checks.append(Check(f"lcm atoms {na},{nb}", img.factors == tgt.factors,
+                                f"phi(lcm)={img!r} lcm(phi)={tgt!r}"))
 
     # random pairs: injectivity, divisibility reflection, lcm respect
     xs = _random_source_elements(m, rng, pairs, max_len)
@@ -217,12 +214,14 @@ def verify_respects_lcm(
             resp += 1 if (both is None) == (tboth is None) else 0
         elif apply_morphism(m, both).factors == tboth.factors:
             resp += 1
-    checks.append((f"injectivity on {inj_total} distinct pairs", inj == inj_total,
-                   f"{inj}/{inj_total}"))
-    checks.append((f"divisibility reflection on {len(xs)} pairs", refl == len(xs),
-                   f"{refl}/{len(xs)}"))
-    checks.append((f"lcm respect on {decided} decided pairs", resp == decided,
-                   f"{resp}/{decided}"))
+    checks += [
+        Check(f"injectivity on {inj_total} distinct pairs", inj == inj_total,
+              f"{inj}/{inj_total}"),
+        Check(f"divisibility reflection on {len(xs)} pairs", refl == len(xs),
+              f"{refl}/{len(xs)}"),
+        Check(f"lcm respect on {decided} decided pairs", resp == decided,
+              f"{resp}/{decided}"),
+    ]
     if undecided:
         skipped.append(("lcm respect", f"{undecided} pairs over the step budget"))
 
@@ -230,8 +229,8 @@ def verify_respects_lcm(
     if is_spherical(m.source):
         img = apply_morphism(m, lift(longest_element(m.source)))
         want = lift(longest_element(m.target, m.partition.carrier))
-        checks.append(("image of source longest element", img.factors == want.factors,
-                       f"{img!r} vs {want!r}"))
+        checks.append(Check("image of source longest element",
+                            img.factors == want.factors, f"{img!r} vs {want!r}"))
     return VerificationReport("lcm respect", tuple(checks), tuple(skipped))
 
 
@@ -264,8 +263,8 @@ def verify_respects_normal_forms(
                 good = False  # factor images must already be left-greedy
         if good and rebuilt.factors == fx.factors:
             nf_ok += 1
-    checks.append((f"normal form factorwise on {len(xs)} elements",
-                   nf_ok == len(xs), f"{nf_ok}/{len(xs)}"))
+    checks.append(Check(f"normal form factorwise on {len(xs)} elements",
+                        nf_ok == len(xs), f"{nf_ok}/{len(xs)}"))
 
     ys = _random_source_elements(m, rng, samples, max_len)
     gcd_ok = 0
@@ -273,8 +272,8 @@ def verify_respects_normal_forms(
         fx, fy = apply_morphism(m, x), apply_morphism(m, y)
         if apply_morphism(m, gcd(x, y, "left")).factors == gcd(fx, fy, "left").factors:
             gcd_ok += 1
-    checks.append((f"gcd respect on {len(xs)} pairs", gcd_ok == len(xs),
-                   f"{gcd_ok}/{len(xs)}"))
+    checks.append(Check(f"gcd respect on {len(xs)} pairs", gcd_ok == len(xs),
+                        f"{gcd_ok}/{len(xs)}"))
 
     if is_spherical(m.source) and is_spherical(m.target):
         frac_ok = 0
@@ -287,71 +286,49 @@ def verify_respects_normal_forms(
                 and apply_morphism(m, fr.second).factors == tf.second.factors
             ):
                 frac_ok += 1
-        checks.append((f"irreducible fractions on {len(xs)} pairs",
-                       frac_ok == len(xs), f"{frac_ok}/{len(xs)}"))
+        checks.append(Check(f"irreducible fractions on {len(xs)} pairs",
+                            frac_ok == len(xs), f"{frac_ok}/{len(xs)}"))
     return VerificationReport("normal form respect", tuple(checks))
 
 
 # -- LCM-partitions --------------------------------------------------------
 
 
-class LcmPartitionReport(namedtuple(
-        "LcmPartitionReport", "partition bound pair_results")):
-    """``pair_results`` holds ((na, nb), entry, case, ok, detail)."""
-
-    __slots__ = ()
-
-    @property
-    def is_lcm(self) -> bool:
-        return all(ok for _, _, _, ok, _ in self.pair_results)
-
-
 def is_lcm_partition(
     p: BlockPartition, bound: int = DEFAULT_BOUND
-) -> LcmPartitionReport:
+) -> VerificationReport:
     """The stronger-than-admissible property: for each pair of blocks,
     either (finite entry n) the restriction is spherical and both
     alternating products of n factors equal the lifted longest element of
     the union, or (infinite entry) adding any single vertex of one block
-    to the other yields a non-spherical subgraph, both ways around."""
+    to the other yields a non-spherical subgraph, both ways around.  One
+    ``Check`` per pair of block names."""
     g = p.graph
-    results = []
+    checks = []
     for (na, a), (nb, b) in itertools.combinations(zip(p.names, p.blocks), 2):
         carrier = tuple(sorted(a + b))
-        spherical = is_spherical(g.restrict(carrier))
-        if spherical:
+        if is_spherical(g.restrict(carrier)):
             n = pair_order(g, a, b, bound)
             ra, rb = lift(longest_element(g, a)), lift(longest_element(g, b))
             want = lift(longest_element(g, carrier))
             ok = True
-            detail = f"finite entry {n}"
             for first, second in ((ra, rb), (rb, ra)):
-                word = [first if k % 2 == 0 else second for k in range(n)]
                 prod = braid_identity(g)
-                for w in word:
-                    prod = multiply(prod, w)
-                if prod.factors != want.factors:
-                    ok = False
-                    detail = f"product of {n} alternating factors is not r_J"
-                    break
-            results.append(((na, nb), n, "finite", ok, detail))
+                for k in range(n):
+                    prod = multiply(prod, second if k % 2 else first)
+                ok = ok and prod.factors == want.factors
+            detail = (f"finite entry {n}" if ok
+                      else f"product of {n} alternating factors is not r_J")
         else:
-            ok = True
-            detail = "all one-vertex extensions infinite"
-            for x, y, side in ((a, b, na), (b, a, nb)):
-                for i in x:
-                    ext = tuple(sorted(set(y) | {i}))
-                    if is_spherical(g.restrict(ext)):
-                        ok = False
-                        detail = (
-                            f"vertex {i} of block {side} spans the spherical"
-                            f" subgraph {ext} with the other block"
-                        )
-                        break
-                if not ok:
-                    break
-            results.append(((na, nb), INFINITY, "infinite", ok, detail))
-    return LcmPartitionReport(p, bound, tuple(results))
+            extensions = [(i, side, tuple(sorted(set(y) | {i})))
+                          for x, y, side in ((a, b, na), (b, a, nb)) for i in x]
+            bad = next((e for e in extensions if is_spherical(g.restrict(e[2]))), None)
+            ok = bad is None
+            detail = ("all one-vertex extensions infinite" if ok else
+                      f"vertex {bad[0]} of block {bad[1]} spans the spherical"
+                      f" subgraph {bad[2]} with the other block")
+        checks.append(Check((na, nb), ok, detail))
+    return VerificationReport("lcm partition", tuple(checks))
 
 
 # -- bursts ----------------------------------------------------------------
@@ -417,7 +394,8 @@ def burst(g: CoxeterGraph, copies: int | None = None) -> BurstResult:
 class BurstReport(namedtuple(
         "BurstReport",
         "result verdict ptype type_matches infinite_pair_structure")):
-    """``infinite_pair_structure`` holds ((na, nb), ok, detail)."""
+    """``infinite_pair_structure`` holds a ``Check`` per pair (na, nb) of
+    block names whose original label is infinite."""
 
     __slots__ = ()
 
@@ -426,7 +404,7 @@ class BurstReport(namedtuple(
         return (
             self.verdict.is_admissible
             and self.type_matches
-            and all(ok for _, ok, _ in self.infinite_pair_structure)
+            and all(c.ok for c in self.infinite_pair_structure)
         )
 
 
@@ -462,15 +440,13 @@ def verify_burst(b: BurstResult, bound: int = DEFAULT_BOUND) -> BurstReport:
         gr = b.graph.restrict(tuple(sorted(a + bb)))
         bad = [c for c in gr.components()
                if not _is_opposite_pair_square(gr, c, a, bb)]
-        structure.append((
+        structure.append(Check(
             (na, nb), not bad,
             "all components are opposite-pair squares" if not bad
             else f"component {bad[0]} is not an opposite-pair square",
         ))
-    matches = True
-    for i, j, in itertools.combinations(b.original.vertices, 2):
-        if ptype.entry(i, j) != b.original.m(i, j):
-            matches = False
+    matches = all(ptype.entry(i, j) == b.original.m(i, j)
+                  for i, j in itertools.combinations(b.original.vertices, 2))
     return BurstReport(b, verdict, ptype, matches, tuple(structure))
 
 

@@ -18,18 +18,29 @@ partition reduces to admissibility of each pair of blocks.
   (iii) the two blocks span a spherical subgraph: the order m of r_a r_b
         is exact (from the cycles of its root permutation); compatibility
         of both alternating words up to m decides;
-  (iv)  the subgraph is infinite, but the scan below finds the order m
-        within the bound: the same exhaustive test up to m, also conclusive;
+  (iv)  the subgraph is infinite but both words are compatible up to a
+        finite order m: this never happens (see below), and ``check_pair``
+        raises RuntimeError if it does;
   (v)   otherwise both words are scanned up to the bound; a failure is a
         witness, and full success is only an "Unknown" unless a
         certificate applies.
 
-The scan of (iii)-(v) finds m on its way.  Let P_n(a) and P_n(b) be the
+The scan of (iii) and (v) finds m on its way.  Let P_n(a) and P_n(b) be the
 alternating products of n factors starting with r_a and with r_b, and
 w = r_a r_b.  Then P_n(a) = P_n(b) exactly when m divides n: for n = 2k
 they are w^k and w^-k, and for n = 2k+1 they are w^k r_a and w^-k r_b,
 equal iff w^(2k+1) = 1.  So both words are built in lockstep, one factor
 each per step, and the first n at which they agree is m.
+
+Why (iv) is empty.  Suppose the scan over the carrier J = a u b ends with
+P_m(a) = P_m(b) =: x and no witness.  Both words are length-additive, so x
+is r_a times a reduced tail and r_b times a reduced tail, and every vertex
+of a and of b is a left descent of x.  The scan runs in W_J, so x is an
+element of W_J with every generator as a left descent, and only a finite
+Coxeter group has one (Björner and Brenti, *Combinatorics of Coxeter
+Groups*, ch. 2).  So J is spherical.  A refusal over an infinite carrier
+may still find a finite order (the power scan after an alpha witness);
+whether it ever does is open.
 
 Certificates that upgrade Unknown to Admissible: the pair/partition equals
 the orbit partition of the subgroup of graph automorphisms stabilizing its
@@ -50,6 +61,7 @@ from collections import namedtuple
 from .elements import is_compatible, longest_element
 from .graphs import (
     INFINITY,
+    ISOMORPHISM_RANK_LIMIT,
     CoxeterGraph,
     automorphisms,
     bipartite_classes,
@@ -151,6 +163,11 @@ def parse_partition(g: CoxeterGraph, text: str) -> BlockPartition:
 
 
 def partition_from_json(g: CoxeterGraph, data) -> BlockPartition:
+    """The inverse of ``BlockPartition.to_json``; ValueError on a wrong shape."""
+    if not (isinstance(data, list) and all(
+            isinstance(d, dict) and "name" in d and isinstance(d.get("vertices"), list)
+            for d in data)):
+        raise ValueError('a JSON partition is [{"name": ..., "vertices": [...]}, ...]')
     return block_partition(
         g, [d["vertices"] for d in data], [d["name"] for d in data]
     )
@@ -166,6 +183,13 @@ def bipartite_partition(g: CoxeterGraph) -> BlockPartition:
 
 
 # -- verdicts, witnesses, certificates ------------------------------------
+
+
+class Check(namedtuple("Check", "name ok detail")):
+    """One entry of a report's pass/fail list; ``name`` is a label, or the
+    pair of block names the check is about."""
+
+    __slots__ = ()
 
 
 class IncompatibleWord(namedtuple("IncompatibleWord", "alpha beta n first")):
@@ -327,8 +351,8 @@ def check_pair(
             )
 
     # (iii) the order over a spherical carrier is exact, and the scan must
-    # meet it; (iv) over an infinite one the scan finds it within the
-    # bound; (v) or it runs to the bound, then looks for a certificate
+    # meet it; (v) over an infinite one it runs to the bound, then looks
+    # for a certificate
     spherical = is_spherical(gr)
     exact = pair_order(gr, alpha, beta) if spherical else None
     witness, m, product = _scan_alternating(
@@ -347,9 +371,10 @@ def check_pair(
             f"alternating word of length {witness.n} is incompatible{order}",
         )
     if m is not None:
-        # over a spherical carrier the compatible products of m factors
-        # must both be its longest element
-        if spherical and product != longest_element(gr, carrier):
+        # every vertex of the carrier is a left descent of the compatible
+        # products of m factors, so they are its longest element (and the
+        # carrier is spherical: rung (iv) is empty)
+        if not spherical or product != longest_element(gr, carrier):
             raise RuntimeError(f"alternating products of {pair} are not w0")
         return AdmissibilityVerdict(
             "admissible",
@@ -384,7 +409,7 @@ def _orbit_certificate(g: CoxeterGraph, blocks):
     *any* subgroup G, then G lies in the stabilizer, so the stabilizer's
     orbits refine into unions of G-orbits and coincide with the blocks.
     """
-    if g.rank > 16:
+    if g.rank > ISOMORPHISM_RANK_LIMIT:
         return None
     blocksets = [frozenset(b) for b in blocks]
     stab = [
@@ -530,18 +555,15 @@ def partition_type(
             a, b = p.blocks[i], p.blocks[j]
             v = None
             if not (assume_admissible or is_spherical(p.graph.restrict(a + b))):
-                # one pair check decides the entry and finds the order
+                # one pair check decides the entry: over an infinite carrier
+                # an admissible pair has infinite order (rung (iv) is empty)
                 v = check_pair(p.graph, a, b, bound)
             if v is None or v.outcome == "not_admissible":
                 m = pair_order(p.graph, a, b, bound)
                 if m is None and assume_admissible:
                     m = INFINITY  # admissible, infinite restriction
-            elif isinstance(v.certificate, ExhaustiveFiniteCertificate):
-                m = v.certificate.order
-            elif v.is_admissible:
-                m = INFINITY  # certified admissible, infinite restriction
-            else:
-                m = None
+            else:  # certified admissible over an infinite restriction, or unknown
+                m = INFINITY if v.is_admissible else None
             orders[i][j] = orders[j][i] = m
     return PartitionType(p, tuple(tuple(row) for row in orders), bound)
 

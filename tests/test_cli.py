@@ -68,6 +68,28 @@ def test_graph_file_inputs(capsys, tmp_path):
     assert data["verdict"]["outcome"] == "admissible"
 
 
+@pytest.mark.parametrize("graph, partition", [
+    ("A3", '[{"name": "a"}]'),
+    ("A3", '["x"]'),
+    ("A3", '[{"name": "a", "vertices": 5}]'),
+    ('{"edges": []}', "1/2"),
+    ('{"vertices": ["1", "2"], "edges": [{"i": "1", "j": "2"}]}', "1/2"),
+    ('{"vertices": ["1", "2"], "edges": {"i": "1"}}', "1/2"),
+])
+def test_malformed_json_inputs_are_usage_errors(capsys, tmp_path, graph, partition):
+    # a JSON file of the wrong shape is an input error (exit 3), not an
+    # internal one (exit 2 with a traceback)
+    argv = ["check-partition"]
+    for name, spec in (("graph.json", graph), ("partition.json", partition)):
+        if spec.startswith(("{", "[")):
+            (tmp_path / name).write_text(spec)
+            spec = str(tmp_path / name)
+        argv.append(spec)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: a JSON ") and "Traceback" not in err
+
+
 def test_type(capsys):
     code, out, _ = run(capsys, "type", "A3", "bipartite")
     assert code == 0

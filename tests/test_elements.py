@@ -388,3 +388,21 @@ def test_longest_element_ascent_past_its_bound_raises(monkeypatch):
     monkeypatch.setattr(elements, "positive_root_count", lambda sub: 1)
     with pytest.raises(RuntimeError):
         longest_element(g)
+
+
+# -- matrices that are not group elements -------------------------------------
+
+
+@pytest.mark.parametrize("column, refusal", [
+    (((), ()), "zero column 1"),
+    (((1,), (-2, 1)), "mixed-sign column 1"),  # 1 and sqrt 2 - 2
+])
+def test_matrix_descents_refuse_non_group_matrices(column, refusal):
+    # every column of a group element is the image of a simple root, which
+    # is nonzero with all coefficients of one sign; the descent mask reads
+    # the signs, so it refuses a matrix that breaks either rule
+    g = named_graph("I2(4)")
+    f = field_for_modulus(g.modulus)
+    top, bottom = (f.scalar(c) for c in column)
+    with pytest.raises(ValueError, match=refusal):
+        MatrixElement(g, ((top, f.one), (bottom, f.one))).right_mask

@@ -130,9 +130,9 @@ def test_verification_skips_undecidable_pairs_on_affine_target():
 def test_lcm_partition_positive():
     g = named_graph("A3")
     rep = is_lcm_partition(bipartite_partition(g))
-    assert rep.is_lcm
+    assert rep.ok
     f = named_graph("F4")
-    assert is_lcm_partition(block_partition(f, [["1", "4"], ["2", "3"]])).is_lcm
+    assert is_lcm_partition(block_partition(f, [["1", "4"], ["2", "3"]])).ok
 
 
 def test_lcm_partition_negative_on_affine_square():
@@ -140,10 +140,10 @@ def test_lcm_partition_negative_on_affine_square():
     # so the blocks cannot carry a common-multiple structure
     g = named_graph("Atilde3")
     rep = is_lcm_partition(block_partition(g, [["1", "3"], ["2", "4"]]))
-    assert not rep.is_lcm
+    assert not rep.ok
     assert any(
         "spherical" in detail
-        for _, _, _, ok, detail in rep.pair_results
+        for _, ok, detail in rep.checks
         if not ok
     )
 
@@ -235,7 +235,7 @@ def test_verify_burst_infinite_edge_structure():
 def test_burst_partitions_are_lcm_partitions():
     for name, copies in (("H3", 2), ("B2", 3)):
         b = burst(named_graph(name), copies)
-        assert is_lcm_partition(b.partition).is_lcm, name
+        assert is_lcm_partition(b.partition).ok, name
 
 
 def test_burst_morphism_h3_into_d6():

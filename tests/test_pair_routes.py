@@ -16,10 +16,10 @@ blocks of rank <= 4 occurs as a carrier), labels from {2, ..., 6, inf}.
 The bound is 5: below the order of most spherical pairs, whose scan must
 run past it, and low enough that a non-spherical pair whose word starting
 with beta fails at length 5, and whose word starting with alpha would fail
-only at 6, is refused with a witness starting with beta.  No pair here
-reaches rung (iv), a non-spherical carrier with r_a r_b of finite order
-within the bound: a floating-point power scan over every labelling of
-rank 4, and over seeded graphs of rank 5, found no such pair.
+only at 6, is refused with a witness starting with beta.  No pair reaches
+rung (iv), an admissible pair of finite order over a non-spherical
+carrier: the ``partitions`` docstring proves it empty, so every exhaustive
+certificate met here must come with a spherical carrier.
 """
 
 import itertools
@@ -177,10 +177,13 @@ def test_check_pair_agrees_with_the_order_first_route():
         for a, b in block_pairs(g):
             v = check_pair(g, a, b, BOUND)
             assert v == ref_check_pair(g, a, b, BOUND), (seed, a, b)
+            if isinstance(v.certificate, ExhaustiveFiniteCertificate):
+                assert is_spherical(g.restrict(a + b)), (seed, a, b)
+                seen.add("exhaustive")
             if v.reason.startswith("alternating word"):
                 seen.add(("scan refusal", v.witness.first))
     # without these the comparison could pass on the easy rungs alone
-    assert {("scan refusal", "alpha"), ("scan refusal", "beta")} <= seen
+    assert {("scan refusal", "alpha"), ("scan refusal", "beta"), "exhaustive"} <= seen
 
 
 def test_partition_type_agrees_with_the_order_first_route():

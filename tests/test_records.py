@@ -26,12 +26,12 @@ from coxmon.morphisms import (
     BurstResult,
     FixedSubmonoidReport,
     FoldingReport,
-    LcmPartitionReport,
     VerificationReport,
 )
 from coxmon.partitions import (
     AdmissibilityVerdict,
     BlockPartition,
+    Check,
     ClassificationReport,
     ExhaustiveFiniteCertificate,
     IncompatibleWord,
@@ -79,9 +79,9 @@ RECORDS = [
      ((("1",),), (V,), (3,), (("1",), ("2",)), V, 3)),
     (ClassificationReport, "graph bound admissible eliminated", (G, 4, ((P, 3),), ())),
     (AdmissibleMorphism, "target partition verdict source", (G, P, V, G)),
-    (VerificationReport, "label checks skipped", ("l", (("c", True, ""),), (("s", "r"),))),
-    (LcmPartitionReport, "partition bound pair_results",
-     (P, 4, ((("1", "2"), 3, "finite", True, ""),))),
+    (Check, "name ok detail", (("1", "2"), True, "d")),
+    (VerificationReport, "label checks skipped",
+     ("l", (Check("c", True, ""),), (("s", "r"),))),
     (BurstResult, "original copies graph partition", (G, 1, G, P)),
     (BurstReport, "result verdict ptype type_matches infinite_pair_structure",
      (BR, V, PT, True, ())),
