@@ -164,10 +164,11 @@ def parse_partition(g: CoxeterGraph, text: str) -> BlockPartition:
 
 def partition_from_json(g: CoxeterGraph, data) -> BlockPartition:
     """The inverse of ``BlockPartition.to_json``; ValueError on a wrong shape."""
-    if not (isinstance(data, list) and all(
+    if not (isinstance(data, list) and data and all(
             isinstance(d, dict) and "name" in d and isinstance(d.get("vertices"), list)
             for d in data)):
-        raise ValueError('a JSON partition is [{"name": ..., "vertices": [...]}, ...]')
+        raise ValueError('a JSON partition is [{"name": ..., "vertices": [...]}, ...],'
+                         ' with at least one block')
     return block_partition(
         g, [d["vertices"] for d in data], [d["name"] for d in data]
     )

@@ -71,6 +71,7 @@ def test_graph_file_inputs(capsys, tmp_path):
 @pytest.mark.parametrize("graph, partition", [
     ("A3", '[{"name": "a"}]'),
     ("A3", '["x"]'),
+    ("A3", '[]'),
     ("A3", '[{"name": "a", "vertices": 5}]'),
     ('{"edges": []}', "1/2"),
     ('{"vertices": ["1", "2"], "edges": [{"i": "1", "j": "2"}]}', "1/2"),
