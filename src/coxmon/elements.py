@@ -20,12 +20,21 @@ a_j + 2 cos(pi/m_{ij}) a_i for j != i, and a_i to -a_i.
 
 * Any graph: ``MatrixElement`` stores the representation matrix with
   ExactScalar entries; column j holds the coordinates of w(a_j).  A product
-  works on the entries' integer coefficient tuples: each entry sums the
-  unreduced polynomial products of its row and column and is reduced mod
-  Psi_N once (``CosField.dot``), and ``gen_left`` builds its new row the
-  same way.  A generator is a descent exactly when its column is
-  nonpositive, and lengths come from the descent walk (peeling descents
-  until the identity), guarded by a step ceiling against non-group input.
+  reads only what its right factor holds, from a table of its columns
+  built once per element: a column whose one nonzero entry is 1 or -1 (row
+  k) copies or negates column k of the left factor, as most columns of a
+  longest element r_B do (r_B sends a_j to -a_sigma(j) for j in B), and
+  every other entry sums the unreduced polynomial products of a row with
+  the column's nonzero entries, as trimmed coefficient tuples, and is
+  reduced mod Psi_N once (``CosField.dot``); ``gen_left`` builds its new
+  row the same way.  A generator is a descent exactly when its column is
+  nonpositive.  ``right_mask`` reads the sign of every entry, so it also
+  refuses a zero or mixed-sign column, which no group element has;
+  ``has_right_descent_in`` asks only whether some vertex of a mask is a
+  descent, and reads one sign per masked column, that of its first
+  nonzero entry, which decides the column of a group element.  Lengths
+  come from the descent walk (peeling descents until the identity, on the
+  full masks), guarded by a step ceiling against non-group input.
 
 The longest element r_J of a spherical parabolic is built once per graph and
 set J, and shared by every caller.
@@ -55,7 +64,7 @@ import math
 from collections import namedtuple
 from operator import itemgetter
 
-from .exact import field_for_modulus
+from .exact import field_for_modulus, poly_trim
 from .graphs import (
     CoxeterGraph,
     is_spherical,
@@ -239,6 +248,11 @@ class _Element:
     def left_mask(self) -> int:
         return self.inverse.right_mask
 
+    def has_right_descent_in(self, mask: int) -> bool:
+        """Whether some vertex of the int bitmask ``mask`` is a right
+        descent."""
+        return bool(self.right_mask & mask)
+
     @_cached
     def right_descents(self) -> frozenset:
         return _mask_set(self.graph, self.right_mask)
@@ -370,16 +384,33 @@ class MatrixElement(_Element, namedtuple("MatrixElement", "graph matrix")):
 
     backend = "matrix"
 
+    @_cached
+    def _columns(self) -> tuple:
+        """Each column as the right factor of a product reads it: (k, 1) or
+        (k, -1) when its one nonzero entry is 1 or -1, in row k, and
+        otherwise (None, pairs), pairs the (k, trimmed coefficient tuple)
+        of its nonzero entries."""
+        out = []
+        for col in zip(*self.matrix):
+            pairs = [(k, poly_trim(e.coeffs)) for k, e in enumerate(col) if e]
+            if len(pairs) == 1 and pairs[0][1] in ((1,), (-1,)):
+                out.append((pairs[0][0], pairs[0][1][0]))
+            else:
+                out.append((None, tuple(pairs)))
+        return tuple(out)
+
     def __mul__(self, other: "MatrixElement") -> "MatrixElement":
         if other.graph != self.graph:
             raise ValueError("product of elements over different graphs")
         dot = field_for_modulus(self.graph.modulus).dot
-        # coefficient tuples, () for a zero entry
-        cols = tuple(zip(*([e.coeffs if e else () for e in row] for row in other.matrix)))
+        cols = other._columns
         out = []
         for row in self.matrix:
-            xs = [(k, e.coeffs) for k, e in enumerate(row) if e]
-            out.append(tuple([dot([(x, y) for k, x in xs if (y := col[k])]) for col in cols]))
+            xs = [e.coeffs if e else () for e in row]  # () for a zero entry
+            out.append(tuple([
+                dot([(xs[j], y) for j, y in pairs]) if k is None
+                else row[k] if pairs == 1 else -row[k]
+                for k, pairs in cols]))
         return MatrixElement(self.graph, tuple(out))
 
     def gen_left(self, v: str) -> "MatrixElement":
@@ -404,6 +435,24 @@ class MatrixElement(_Element, namedtuple("MatrixElement", "graph matrix")):
     def right_mask(self) -> int:
         # not through the kernel, which most matrix graphs never need
         return _matrix_mask(self.graph, self.matrix)
+
+    def has_right_descent_in(self, mask: int) -> bool:
+        """One sign per masked column: the column of a group element is a
+        root, so the sign of its first nonzero entry is the sign of every
+        entry.  Unlike ``right_mask``, which reads every entry, this cannot
+        tell a mixed-sign column; a zero column still raises."""
+        rows = self.matrix
+        while mask:
+            j = (mask & -mask).bit_length() - 1
+            for row in rows:
+                if row[j]:
+                    if row[j].sign() < 0:
+                        return True
+                    break
+            else:
+                raise ValueError(f"zero column {self.graph.vertices[j]}: not a group element")
+            mask &= mask - 1
+        return False
 
     def reduced_word(self, step_ceiling: int | None = None) -> tuple:
         """Some reduced word for self, by peeling least right descents.

@@ -289,6 +289,10 @@ class ExactScalar(namedtuple("ExactScalar", "field coeffs")):
     __slots__ = ()
     __lt__ = __le__ = __gt__ = __ge__ = None
 
+    # coefficient tuples are built from lists: a tuple built from a
+    # generator is over-allocated and then shrunk by realloc, outside the
+    # tuple free lists, which raises the peak memory of long scans
+
     def _check(self, other) -> "ExactScalar":
         if isinstance(other, ExactScalar):
             if other.field is not self.field and other.field != self.field:
@@ -302,18 +306,18 @@ class ExactScalar(namedtuple("ExactScalar", "field coeffs")):
         o = self._check(other)
         if o is NotImplemented:
             return o
-        return ExactScalar(self.field, tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
+        return ExactScalar(self.field, tuple([a + b for a, b in zip(self.coeffs, o.coeffs)]))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ExactScalar(self.field, tuple(-a for a in self.coeffs))
+        return ExactScalar(self.field, tuple([-a for a in self.coeffs]))
 
     def __sub__(self, other):
         o = self._check(other)
         if o is NotImplemented:
             return o
-        return ExactScalar(self.field, tuple(a - b for a, b in zip(self.coeffs, o.coeffs)))
+        return ExactScalar(self.field, tuple([a - b for a, b in zip(self.coeffs, o.coeffs)]))
 
     def __rsub__(self, other):
         return -(self - other)

@@ -534,6 +534,9 @@ def isomorphisms(g1: CoxeterGraph, g2: CoxeterGraph) -> list:
                 used.discard(w)
 
     extend(0, {}, set())
+    # extend reaches itself through its closure cell: break that cycle, or
+    # the graphs and the search state wait for the cyclic collector
+    del extend
     return found
 
 

@@ -50,7 +50,10 @@ always carries a replayable incompatible-word witness.
 
 Compatibility is checked stepwise: appending r_B to w is length-additive
 exactly when no right descent of w lies in B (w is then minimal in its
-coset w W_B), so a full alternating scan needs only descent lookups.
+coset w W_B), so a full alternating scan needs only descent lookups.  Over
+the matrix backend one sign per column of B decides each lookup
+(``has_right_descent_in``): every product of the scan is a group element,
+whose columns are roots; the replay of a witness reads every sign.
 """
 
 from __future__ import annotations
@@ -296,9 +299,9 @@ def _scan_alternating(gr: CoxeterGraph, alpha, beta, limit: int):
     for n in range(2, limit + 1):
         odd = n % 2
         # l(w r_B) = l(w) + l(r_B) iff w has no right descent in B
-        if pa.right_mask & (mask_a if odd else mask_b):
+        if pa.has_right_descent_in(mask_a if odd else mask_b):
             return IncompatibleWord(alpha, beta, n, "alpha"), None, None
-        if beta_witness is None and pb.right_mask & (mask_b if odd else mask_a):
+        if beta_witness is None and pb.has_right_descent_in(mask_b if odd else mask_a):
             beta_witness = IncompatibleWord(alpha, beta, n, "beta")
         pa, pb = (pa * ra, pb * rb) if odd else (pa * rb, pb * ra)
         if pa == pb:

@@ -1,7 +1,9 @@
 import hashlib
+import itertools
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
 
@@ -9,6 +11,7 @@ import pytest
 
 from coxmon import cli
 from coxmon.cli import main
+from coxmon.partitions import IncompatibleWord, replay_witness
 
 
 def run(capsys, *argv):
@@ -290,6 +293,75 @@ print(field_for_modulus(5).scalar((-2, 1)).sign(), "mpmath" in sys.modules)
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
     assert proc.stdout.split("\n")[:2] == ["[0, 0] False False False", "-1 True"]
+
+
+# -- the exit-code contract on generated inputs -------------------------------
+
+
+def generated_check_partition_inputs(seed, count):
+    """(graph file text, partition spec, extra argv) triples: seeded graphs
+    of rank <= 4 with labels in {2, ..., 6, inf}, each with valid partitions
+    and malformed ones (overlapping, unknown vertex, empty block, a JSON
+    file of the wrong shape, a bound of 0)."""
+    rng = random.Random(seed)
+    labels = ("2", "3", "4", "5", "6", "inf")
+    for _ in range(count):
+        verts = [str(k) for k in range(1, rng.choice((1, 2, 3, 3, 4, 4, 4)) + 1)]
+        text = "".join(f"vertex {v}\n" for v in verts) + "".join(
+            f"edge {a} {b} {m}\n" for a, b in itertools.combinations(verts, 2)
+            if (m := rng.choice(labels)) != "2")
+        for _ in range(3):
+            chosen = rng.sample(verts, rng.randint(min(2, len(verts)), len(verts)))
+            blocks = {}
+            for v in chosen:
+                blocks.setdefault(rng.randrange(len(chosen)), []).append(v)
+            yield text, "/".join(",".join(b) for b in blocks.values()), []
+        bad = rng.choice(verts)
+        yield text, rng.choice([
+            f"{bad}/{bad}",
+            f"{bad}/9",
+            f"{bad},/",
+            '[{"name": "a", "vertices": "' + bad + '"}]',
+            "block a = " + bad + "\nblock a",
+        ]), []
+        yield text, "/".join(verts), ["--bound", rng.choice(["0", "-3", "x"])]
+
+
+def test_check_partition_exit_contract_on_generated_inputs(capsys, tmp_path):
+    codes = set()
+    witnesses = 0
+    for k, (text, spec, extra) in enumerate(generated_check_partition_inputs(7, 60)):
+        graph = tmp_path / f"g{k}.graph"
+        graph.write_text(text)
+        if spec.startswith("["):
+            (tmp_path / f"p{k}.json").write_text(spec)
+            spec = str(tmp_path / f"p{k}.json")
+        argv = ["check-partition", str(graph), spec, *extra]
+        results = []
+        for json_flag in ([], ["--json"]):
+            try:
+                code = main(argv + json_flag)
+            except SystemExit as e:  # argparse refuses the option
+                code = e.code
+            out, err = capsys.readouterr()
+            assert code in (0, 1, 2, 3), (argv, code)
+            assert "Traceback" not in err, (argv, err)
+            results.append((code, out))
+        (code, _), (json_code, out) = results
+        assert code == json_code, argv
+        codes.add(code)
+        if code == 3:
+            assert out == "", argv
+            continue
+        data = json.loads(out)
+        assert (data["schema"], data["command"]) == (1, "check-partition"), argv
+        if code == 1:
+            w = data["verdict"]["witness"]
+            witness = IncompatibleWord(tuple(w["alpha"]), tuple(w["beta"]), w["n"], w["first"])
+            assert replay_witness(cli.load_graph(str(graph)), witness), (argv, w)
+            witnesses += 1
+    assert codes == {0, 1, 2, 3}
+    assert witnesses >= 10
 
 
 # -- golden output ---------------------------------------------------------

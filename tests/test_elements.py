@@ -15,6 +15,7 @@ from coxmon import (
     generator,
     identity_element,
     is_compatible,
+    is_spherical,
     length,
     longest_element,
     named_graph,
@@ -329,6 +330,60 @@ def test_fused_matrix_product_matches_scalar_arithmetic():
             for v in g.vertices:
                 assert u.gen_left(v).matrix == scalar_gen_left(u, v).matrix, g
     assert {1, 2, 4, 8} <= degrees
+
+
+def test_products_by_longest_elements_match_scalar_arithmetic():
+    # the right factors of the alternating scan: r_B of every spherical
+    # block B, whose columns the product copies (a_j -> a_k), negates
+    # (a_j -> -a_k, j in B) or reads through trimmed coefficient tuples
+    kinds = set()
+    n_graphs = 0
+    for rng, g in seeded_graphs(13, count=40):
+        if is_spherical(g):
+            continue
+        n_graphs += 1
+        blocks = [b for k in range(1, g.rank + 1)
+                  for b in itertools.combinations(g.vertices, k) if is_spherical(g.restrict(b))]
+        lefts = [identity_element(g, "matrix")]
+        lefts += [longest_element(g, b) for b in rng.sample(blocks, min(3, len(blocks)))]
+        lefts.append(element_from_word(g, [rng.choice(g.vertices) for _ in range(6)]))
+        for b in blocks:
+            r = longest_element(g, b)
+            kinds.update("unit" if k is not None else "general" for k, _ in r._columns)
+            kinds.update(pairs for k, pairs in r._columns if k is not None)
+            for u in lefts + [lefts[-1] * r]:
+                assert (u * r).matrix == scalar_product(u, r).matrix, (g, b)
+                assert (r * u).matrix == scalar_product(r, u).matrix, (g, b)
+    assert n_graphs >= 10
+    assert kinds == {"unit", "general", 1, -1}
+
+
+def test_one_sign_descents_match_the_descent_mask():
+    # has_right_descent_in reads one sign per masked column of a matrix,
+    # right_mask every entry: they agree on group elements of both backends
+    n_matrix = 0
+    for rng, g in seeded_graphs(17, count=40):
+        backends = ("perm", "matrix") if is_spherical(g) else ("matrix",)
+        for backend in backends:
+            n_matrix += backend == "matrix"
+            for _ in range(4):
+                w = identity_element(g, backend)
+                for v in (rng.choice(g.vertices) for _ in range(rng.randint(0, 10))):
+                    w = w.gen_right(v)
+                for mask in range(1 << g.rank):
+                    fresh = type(w)(*w)  # no right_mask cached yet
+                    assert fresh.has_right_descent_in(mask) == bool(w.right_mask & mask), (g, w)
+    assert n_matrix >= 20
+
+
+def test_one_sign_descents_refuse_a_zero_column():
+    g = named_graph("I2(4)")
+    f = field_for_modulus(g.modulus)
+    w = MatrixElement(g, ((f.zero, f.one), (f.zero, f.one)))
+    assert not w.has_right_descent_in(0b10)
+    for mask in (0b01, 0b11):
+        with pytest.raises(ValueError, match="zero column 1"):
+            w.has_right_descent_in(mask)
 
 
 def test_fused_matrix_product_with_fraction_entries():

@@ -29,6 +29,7 @@ from coxmon import (
     INFINITY,
     CoxeterGraph,
     block_partition,
+    canonical_word,
     check_pair,
     is_spherical,
     longest_element,
@@ -74,17 +75,26 @@ def block_pairs(g):
 # -- the routes the lockstep scan replaced ----------------------------------
 
 
+def times(w, r):
+    """w * r by one generator at a time along the canonical word of r, so
+    that the reference products do not run the element product they
+    check."""
+    for v in canonical_word(r):
+        w = w.gen_right(v)
+    return w
+
+
 def ref_pair_order(g, alpha, beta, bound):
     """Order of r_alpha r_beta by a power scan, up to the bound over a
     non-spherical carrier (None past it)."""
     gr = g.restrict(set(alpha) | set(beta))
-    w = longest_element(gr, alpha) * longest_element(gr, beta)
+    w = times(longest_element(gr, alpha), longest_element(gr, beta))
     limit = None if is_spherical(gr) else bound
     cur, n = w, 1
     while limit is None or n <= limit:
         if cur.is_identity:
             return n
-        cur, n = cur * w, n + 1
+        cur, n = times(cur, w), n + 1
     return None
 
 
@@ -99,7 +109,7 @@ def ref_scan_alternating(gr, alpha, beta, n_max):
             block, r = (x, rx) if n % 2 else (y, ry)
             if any(v in w.right_descents for v in block):
                 return IncompatibleWord(alpha, beta, n, first), None
-            w = w * r
+            w = times(w, r)
         products[first] = w
     return None, products
 
