@@ -301,8 +301,8 @@ print(field_for_modulus(5).scalar((-2, 1)).sign(), "mpmath" in sys.modules)
 def generated_check_partition_inputs(seed, count):
     """(graph file text, partition spec, extra argv) triples: seeded graphs
     of rank <= 4 with labels in {2, ..., 6, inf}, each with valid partitions
-    and malformed ones (overlapping, unknown vertex, empty block, a JSON
-    file of the wrong shape, a bound of 0)."""
+    and malformed ones (overlapping blocks, a repeated or unknown vertex,
+    an empty block, a JSON file of the wrong shape, a bad bound)."""
     rng = random.Random(seed)
     labels = ("2", "3", "4", "5", "6", "inf")
     for _ in range(count):
@@ -319,6 +319,7 @@ def generated_check_partition_inputs(seed, count):
         bad = rng.choice(verts)
         yield text, rng.choice([
             f"{bad}/{bad}",
+            f"{bad},{bad}",
             f"{bad}/9",
             f"{bad},/",
             '[{"name": "a", "vertices": "' + bad + '"}]',
@@ -351,7 +352,7 @@ def test_check_partition_exit_contract_on_generated_inputs(capsys, tmp_path):
         assert code == json_code, argv
         codes.add(code)
         if code == 3:
-            assert out == "", argv
+            assert out == "" and "error" in err, argv
             continue
         data = json.loads(out)
         assert (data["schema"], data["command"]) == (1, "check-partition"), argv
