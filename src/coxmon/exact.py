@@ -25,13 +25,18 @@ gives Psi_N in the basis p_k.  No numerics, nothing left to certify.
 Zero testing is exact (reduced coefficients all zero).  The *sign* of a
 nonzero scalar is read off integer enclosures at doubling precision p: a
 cached table per (N, p) holds integers lo_k <= 2^p theta^k <= hi_k (k < d),
-built once with interval arithmetic (mpmath.iv) and converted exactly from
-the endpoints' mantissas and exponents.  Scaled to integer coefficients c_k,
-the scalar times 2^p lies between two integer sums of c_k lo_k and c_k hi_k;
-when both sums have one sign, that is the sign.  The exact zero test
-guarantees termination.  mpmath is loaded on the first sign that needs
-these enclosures (a zero or rational scalar never does), so the permutation
-backend of spherical graphs never imports it.
+the powers of an integer bracket of theta rounded outward.  Scaled to
+integer coefficients c_k, the scalar times 2^p lies between two integer
+sums of c_k lo_k and c_k hi_k; when both sums have one sign, that is the
+sign.  The exact zero test guarantees termination.  The bracket is found
+by integer Newton steps on Psi_N from above theta, then checked exactly.
+Psi_N has the real roots 2 cos(k pi/N), k odd and prime to N: theta (k = 1)
+and others <= 2 cos(3 pi/N).  For N >= 4 and x = pi/N, L = 2 - (pi_hi/N)^2
+with pi_hi = 3.14159266 > pi lies between: 2 cos x >= 2 - x^2 > L, and
+2 cos 3x <= 2 - 9x^2 + 27x^4/4 < L as x <= pi/4.  So L < a < b with
+Psi_N(a) < 0 < Psi_N(b) brackets theta.  Newton stays above theta, where a
+real-rooted polynomial is increasing and convex; integer steps rounded
+toward the start keep it there.
 
 Polynomials here are tuples of coefficients, lowest degree first, trimmed.
 """
@@ -248,36 +253,37 @@ def field_for_modulus(N: int) -> CosField:
     return CosField(N, minimal_polynomial(N))
 
 
-def _floor_shift(man: int, exp: int) -> int:
-    """floor(man * 2^exp), exactly."""
-    return man << exp if exp >= 0 else man >> -exp
+def _scaled_value(poly, x: int, q: int) -> int:
+    """2^(q deg) poly(x / 2^q), exactly (homogeneous Horner)."""
+    acc, scale = 0, 1
+    for c in reversed(poly):
+        acc = acc * x + c * scale
+        scale <<= q
+    return acc
 
 
 @functools.cache
 def _power_bounds(N: int, p: int) -> tuple:
     """Integers (lo_k, hi_k) with lo_k <= 2^p theta^k <= hi_k for k < d.
 
-    The powers are enclosed by mpmath.iv with d + 32 guard bits (theta^k <
-    2^k), and each endpoint (sign, mantissa, exponent) converts exactly:
-    never through a float or the 53-bit ``mp`` context.  mpmath is imported
-    here, on the first sign that needs an enclosure."""
-    from mpmath import iv
-
-    d = field_for_modulus(N).degree
-    old = iv.prec
-    try:
-        iv.prec = p + d + 32
-        theta = 2 * iv.cos(iv.pi / N)
-        power = iv.mpf(1)
-        out = []
-        for _ in range(d):
-            (sa, ma, ea, _), (sb, mb, eb, _) = power._mpi_
-            lo = _floor_shift(-ma if sa else ma, ea + p)
-            hi = -_floor_shift(mb if sb else -mb, eb + p)
-            out.append((lo, hi))
-            power = power * theta
-    finally:
-        iv.prec = old
+    The bracket is (x - 1) / 2^q < theta < x / 2^q with q = p + 2d + 32:
+    that of theta^k is under 4^k units of 2^-q wide.  Newton starts at 2,
+    or for p > 64 at the upper bound of theta at precision p // 2."""
+    psi = minimal_polynomial(N)
+    d = len(psi) - 1
+    q = p + 2 * d + 32
+    out, lo, hi = [(1 << p, 1 << p)], 1 << q, 1 << q
+    if d > 1:
+        x = _power_bounds(N, p // 2)[1][1] << (q - p // 2) if p > 64 else 2 << q
+        dpsi = [k * c for k, c in enumerate(psi)][1:]
+        while (step := _scaled_value(psi, x, q) // _scaled_value(dpsi, x, q)) > 0:
+            x -= step
+        if not (2 - Fraction(314159266, N * 10 ** 8) ** 2 < Fraction(x - 1, 1 << q)
+                and _scaled_value(psi, x - 1, q) < 0 < _scaled_value(psi, x, q)):
+            raise RuntimeError(f"theta = 2 cos(pi/{N}) not isolated at {q} bits")
+    for _ in range(d - 1):
+        lo, hi = lo * (x - 1) >> q, -(-hi * x >> q)
+        out.append((lo >> (q - p), -(-hi >> (q - p))))
     return tuple(out)
 
 

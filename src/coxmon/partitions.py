@@ -93,18 +93,20 @@ class BlockPartition(namedtuple("BlockPartition", "graph blocks names")):
     def __new__(cls, graph, blocks, names):
         if len(blocks) != len(names):
             raise ValueError("one name per block")
-        if len(set(names)) != len(names):
-            raise ValueError("duplicate block names")
         seen = set()
         for b in blocks:
             if not b or b != tuple(sorted(b)):
                 raise ValueError("blocks must be sorted and nonempty")
-            for v in b:
+            for i, v in enumerate(b):
                 if v not in graph._index:
                     raise ValueError(f"{v!r} is not a vertex")
+                if v in b[:i]:
+                    raise ValueError(f"{v!r} is repeated in one block")
                 if v in seen:
                     raise ValueError(f"{v!r} appears in two blocks")
                 seen.add(v)
+        if len(set(names)) != len(names):
+            raise ValueError("duplicate block names")
         if blocks != tuple(sorted(blocks)):
             raise ValueError("blocks out of order")
         return tuple.__new__(cls, (graph, blocks, names))

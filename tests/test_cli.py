@@ -276,8 +276,8 @@ def test_console_entry_point():
 def test_spherical_commands_load_neither_mpmath_nor_dataclasses():
     # the combinatorial route of a spherical command needs no real numbers
     # and no class generation, and a run without an internal error prints
-    # no traceback; mpmath loads on the first sign that needs enclosures,
-    # and that sign is right
+    # no traceback; a sign that needs enclosures is right and loads no
+    # mpmath either
     code = """
 import contextlib, io, sys
 from coxmon.cli import main
@@ -292,7 +292,7 @@ print(field_for_modulus(5).scalar((-2, 1)).sign(), "mpmath" in sys.modules)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
-    assert proc.stdout.split("\n")[:2] == ["[0, 0] False False False", "-1 True"]
+    assert proc.stdout.split("\n")[:2] == ["[0, 0] False False False", "-1 False"]
 
 
 # -- the exit-code contract on generated inputs -------------------------------

@@ -211,30 +211,55 @@ def test_arithmetic_against_numeric(a, b):
 # -- sign enclosures ------------------------------------------------------
 
 
-def test_power_bounds_are_built_on_demand():
-    # importing the package fills no enclosure table
+def _run_python(code):
+    """Run ``python -c code`` in a fresh process that imports this tree."""
     src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+
+
+def test_power_bounds_are_built_on_demand():
+    # importing the package fills no enclosure table
     code = "import coxmon.exact as e; print(e._power_bounds.cache_info().currsize)"
-    out = subprocess.run([sys.executable, "-c", "import coxmon; " + code],
-                         env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "0"
+    out = _run_python("import coxmon; " + code)
+    assert (out.returncode, out.stdout.strip()) == (0, "0")
 
 
 def test_power_bounds_enclose_the_powers():
-    # lo_k <= 2^p theta^k <= hi_k against 3000-bit values, with the
-    # endpoints at most one apart: exact conversion, no 53-bit rounding
-    with mpmath.workprec(3000):
-        for N in (5, 7, 12, 30, 60):
+    # lo_k <= 2^p theta^k <= hi_k against mpmath values 3000 bits wider
+    # than p, with the endpoints at most one apart; N = 4 has the smallest
+    # isolation gap, and p = 8192 starts Newton from p = 4096, 2048, ...
+    cases = [(N, p) for N in (4, 5, 6, 7, 12, 30, 60, 120) for p in (64, 128, 1024)]
+    for N, p in cases + [(7, 2048), (7, 8192)]:
+        with mpmath.workprec(3000 + p):
             theta = 2 * mpmath.cos(mpmath.pi / N)
-            for p in (64, 128, 1024):
-                bounds = _power_bounds(N, p)
-                assert len(bounds) == field_for_modulus(N).degree
-                for k, (lo, hi) in enumerate(bounds):
-                    assert type(lo) is int and type(hi) is int
-                    assert lo <= mpmath.ldexp(theta ** k, p) <= hi, (N, p, k)
-                    assert 0 <= hi - lo <= 1, (N, p, k)
+            bounds = _power_bounds(N, p)
+            assert len(bounds) == field_for_modulus(N).degree
+            for k, (lo, hi) in enumerate(bounds):
+                assert type(lo) is int and type(hi) is int
+                assert lo <= mpmath.ldexp(theta ** k, p) <= hi, (N, p, k)
+                assert 0 <= hi - lo <= 1, (N, p, k)
+
+
+def test_power_bounds_refuse_an_unchecked_bracket(monkeypatch):
+    # each end of the exact check refuses a bracket that misses theta
+    # (N = 5: theta = 1.618..., L = 1.605...; N = 12: L = 1.931...)
+    real = coxmon.exact._scaled_value
+    with monkeypatch.context() as m:  # Newton from 1.61, below theta, stops
+        m.setattr(coxmon.exact, "_power_bounds", lambda N, p: ((0, 0), (0, (161 << p) // 100)))
+        with pytest.raises(RuntimeError, match="not isolated"):
+            _power_bounds.__wrapped__(5, 128)
+    with monkeypatch.context() as m:  # Psi_5' inflated: Newton stays at 2
+        m.setattr(coxmon.exact, "_scaled_value",
+                  lambda c, x, q: real(c, x, q) << 2 * q if len(c) == 2 else real(c, x, q))
+        with pytest.raises(RuntimeError, match="not isolated"):
+            _power_bounds.__wrapped__(5, 64)
+    with monkeypatch.context() as m:  # a largest root (1.618...) below L
+        m.setattr(coxmon.exact, "minimal_polynomial", lambda N: (-1, -1, 1))
+        with pytest.raises(RuntimeError, match="not isolated"):
+            _power_bounds.__wrapped__(12, 64)
 
 
 def _interval_sign(x):
@@ -264,10 +289,11 @@ def test_sign_matches_the_interval_route(a):
     assert a.sign() == _interval_sign(a)
 
 
-def test_sign_of_near_zero_differences():
-    # 2 cos(pi/m) minus its best rational approximations: from 40 digits
-    # on, the differences lie far below 2^-64 and force the sign test past
-    # its first precision
+def _near_zero_differences():
+    """2 cos(pi/m) minus its best rational approximations, both signs: from
+    40 digits on, the differences lie far below 2^-64 and force the sign
+    test past its first precision."""
+    out = []
     for N, m in ((60, 60), (30, 30), (12, 12), (7, 7), (60, 20)):
         f = field_for_modulus(N)
         with mpmath.workprec(400):
@@ -277,8 +303,39 @@ def test_sign_of_near_zero_differences():
                 d = f.two_cos(m) - f.scalar((q.limit_denominator(10 ** digits),))
                 if digits >= 40:
                     assert abs(_numeric(d)) < mpmath.mpf(2) ** -64
-                for y in (d, -d):
-                    assert y.sign() == _interval_sign(y) != 0, (N, m, digits)
+                out += [d, -d]
+    return out
+
+
+def test_sign_of_near_zero_differences():
+    for y in _near_zero_differences():
+        assert y.sign() == _interval_sign(y) != 0, y
+
+
+def test_signs_and_cli_run_without_mpmath(tmp_path):
+    # with mpmath blocked before coxmon is imported, a non-spherical check
+    # that reads non-rational signs decides as usual, with no traceback,
+    # and the near-zero signs agree with the interval route
+    cases = _near_zero_differences()
+    graph = tmp_path / "g.graph"
+    graph.write_text("edge 1 2 5\nedge 2 3 inf\n")
+    code = f"""
+import contextlib, io, json, sys
+from fractions import Fraction
+sys.modules["mpmath"] = None
+from coxmon.cli import main
+from coxmon.exact import field_for_modulus
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = main(["check-partition", {str(graph)!r}, "1,3/2", "--bound", "10", "--json"])
+print(code, json.loads(out.getvalue())["verdict"]["outcome"])
+cases = {[(y.field.modulus, y.coeffs) for y in cases]!r}
+print([field_for_modulus(N).scalar(c).sign() for N, c in cases])
+"""
+    proc = _run_python(code)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.split("\n")[:2] == [
+        "2 unknown", str([_interval_sign(y) for y in cases])]
 
 
 def test_integer_coefficients_are_ints():

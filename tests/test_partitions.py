@@ -43,6 +43,11 @@ def test_partition_construction():
         block_partition(g, [["1"], ["1", "2"]])  # overlap
     with pytest.raises(ValueError):
         block_partition(g, [["1", "2"], ["3", "9"]])  # unknown vertex
+    # the vertex fault is named, not the equal default names it implies
+    with pytest.raises(ValueError, match="'1' appears in two blocks"):
+        parse_partition(g, "1/1")
+    with pytest.raises(ValueError, match="'1' is repeated in one block"):
+        parse_partition(g, "1,1")
 
 
 def test_parse_and_json_roundtrip():
