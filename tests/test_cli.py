@@ -365,6 +365,59 @@ def test_check_partition_exit_contract_on_generated_inputs(capsys, tmp_path):
     assert witnesses >= 10
 
 
+def generated_word_commands(seed, count):
+    """(graph file text, argv) pairs for the word subcommands, argv with
+    {graph} for the file: seeded graphs of rank <= 4 with labels in
+    {2, ..., 6, inf}, words of up to five letters that sometimes hold an
+    unknown vertex, ``normal-form``, ``lcm`` with a step budget of 1, 20 or
+    500, and ``gcd`` on either side."""
+    rng = random.Random(seed)
+    labels = ("2", "3", "4", "5", "6", "inf")
+
+    def word(verts):
+        letters = [rng.choice(verts) for _ in range(rng.randint(0, 5))]
+        if letters and rng.random() < 0.1:
+            letters[rng.randrange(len(letters))] = "9"
+        return ",".join(letters) or "-"
+
+    for _ in range(count):
+        verts = [str(k) for k in range(1, rng.randint(1, 4) + 1)]
+        text = "".join(f"vertex {v}\n" for v in verts) + "".join(
+            f"edge {a} {b} {m}\n" for a, b in itertools.combinations(verts, 2)
+            if (m := rng.choice(labels)) != "2")
+        yield text, ["normal-form", "{graph}", word(verts)]
+        yield text, ["lcm", "{graph}", word(verts), word(verts),
+                     "--side", rng.choice(["left", "right"]),
+                     "--steps", rng.choice(["1", "20", "500"])]
+        yield text, ["gcd", "{graph}", word(verts), word(verts),
+                     "--side", rng.choice(["left", "right"])]
+
+
+def test_word_commands_exit_contract_on_generated_inputs(capsys, tmp_path):
+    codes = set()
+    for k, (text, argv) in enumerate(generated_word_commands(11, 100)):
+        graph = tmp_path / f"g{k}.graph"
+        graph.write_text(text)
+        argv = [str(graph) if a == "{graph}" else a for a in argv]
+        results = []
+        for json_flag in ([], ["--json"]):
+            code = main(argv + json_flag)
+            out, err = capsys.readouterr()
+            assert code in (0, 1, 2, 3), (argv, code)
+            assert "Traceback" not in err, (argv, err)
+            if code == 3:
+                assert out == "" and "error" in err, argv
+            elif code == 2:  # only a budget leaves an lcm undecided
+                assert out == "" and "step budget exhausted" in err, argv
+            elif json_flag:
+                data = json.loads(out)
+                assert (data["schema"], data["command"]) == (1, argv[0]), argv
+            results.append(code)
+        assert results[0] == results[1], argv
+        codes.add(code)
+    assert codes == {0, 1, 2, 3}
+
+
 # -- golden output ---------------------------------------------------------
 
 # argv (with {open} for a graph file that has an infinite label), exit
