@@ -36,6 +36,10 @@ from .monoid import (
     lcm,
 )
 from .morphisms import (
+    DEFAULT_BUDGET,
+    DEFAULT_MAX_LEN,
+    DEFAULT_PAIRS,
+    DEFAULT_SAMPLES,
     build_morphism,
     burst,
     check_folding,
@@ -451,9 +455,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("morphism-verify", cmd_morphism_verify,
             "build the morphism of an admissible partition and test it",
             "graph", "partition", bound=True)
-    p.add_argument("--pairs", type=_positive, default=200)
-    p.add_argument("--samples", type=_positive, default=100)
-    p.add_argument("--max-len", type=_positive, default=6)
+    p.add_argument("--pairs", type=_positive, default=DEFAULT_PAIRS)
+    p.add_argument("--samples", type=_positive, default=DEFAULT_SAMPLES)
+    p.add_argument("--max-len", type=_positive, default=DEFAULT_MAX_LEN)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--steps", type=_positive, default=None,
                    help="reversing budget (default: scaled to the graph)")
@@ -467,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("automorphism", nargs="+",
                    help="from:to pairs joined by commas")
     p.add_argument("--length-bound", type=_non_negative, required=True)
-    p.add_argument("--budget", type=_positive, default=200_000)
+    p.add_argument("--budget", type=_positive, default=DEFAULT_BUDGET)
 
     p = add("orbits", cmd_orbits,
             "spherical orbit partition of a group of automorphisms", "graph",

@@ -116,19 +116,6 @@ def chebyshev_like(k: int):
     return poly_sub(poly_mul((0, 1), chebyshev_like(k - 1)), chebyshev_like(k - 2))
 
 
-def totient(n: int) -> int:
-    out, p, m = n, 2, n
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            out -= out // p
-        p += 1
-    if m > 1:
-        out -= out // m
-    return out
-
-
 @functools.cache
 def cyclotomic(n: int):
     """Phi_n: x^n - 1 divided by Phi_d for every proper divisor d of n.

@@ -74,6 +74,13 @@ from .partitions import (
     partition_type,
 )
 
+# default sample sizes of the verification reports, and the enumeration
+# budget of fixed_submonoid_check
+DEFAULT_PAIRS = 200
+DEFAULT_SAMPLES = 100
+DEFAULT_MAX_LEN = 6
+DEFAULT_BUDGET = 200_000
+
 
 # -- admissible morphisms --------------------------------------------------
 
@@ -84,10 +91,8 @@ class AdmissibleMorphism(namedtuple(
 
     @functools.cached_property
     def _images(self) -> dict:
-        out = {}
-        for name, block in zip(self.partition.names, self.partition.blocks):
-            out[name] = lift(longest_element(self.target, block))
-        return out
+        return {name: lift(longest_element(self.target, block))
+                for name, block in zip(self.partition.names, self.partition.blocks)}
 
     def image_of_atom(self, name: str) -> PosBraid:
         return self._images[name]
@@ -142,6 +147,14 @@ class VerificationReport(namedtuple(
         return [(c.name, c.detail) for c in self.checks if not c.ok]
 
 
+def _tally(name: str, outcomes: list) -> Check:
+    """One check over per-sample outcomes: ``name`` formatted with their
+    number, passing when all hold, with detail passed/total."""
+    passed = sum(outcomes)
+    return Check(name.format(len(outcomes)), passed == len(outcomes),
+                 f"{passed}/{len(outcomes)}")
+
+
 def _random_source_elements(m: AdmissibleMorphism, rng, count, max_len):
     out = []
     verts = m.source.vertices
@@ -153,8 +166,8 @@ def _random_source_elements(m: AdmissibleMorphism, rng, count, max_len):
 
 def verify_respects_lcm(
     m: AdmissibleMorphism,
-    pairs: int = 200,
-    max_len: int = 6,
+    pairs: int = DEFAULT_PAIRS,
+    max_len: int = DEFAULT_MAX_LEN,
     seed: int = 0,
     step_bound: int | None = None,
 ) -> VerificationReport:
@@ -191,39 +204,30 @@ def verify_respects_lcm(
     # random pairs: injectivity, divisibility reflection, lcm respect
     xs = _random_source_elements(m, rng, pairs, max_len)
     ys = _random_source_elements(m, rng, pairs, max_len)
-    inj = refl = resp = decided = undecided = 0
-    inj_total = 0
+    injective, reflected, respected = [], [], []
     for x, y in zip(xs, ys):
         fx, fy = apply_morphism(m, x), apply_morphism(m, y)
         if x.factors != y.factors:
-            inj_total += 1
-            if fx.factors != fy.factors:
-                inj += 1
-        if divides(x, y, "left") == divides(fx, fy, "left") and divides(
-            y, x, "left"
-        ) == divides(fy, fx, "left"):
-            refl += 1
+            injective.append(fx.factors != fy.factors)
+        reflected.append(divides(x, y, "left") == divides(fx, fy, "left")
+                         and divides(y, x, "left") == divides(fy, fx, "left"))
         try:
             both = lcm(x, y, "right", step_bound)
             tboth = lcm(fx, fy, "right", step_bound)
         except StepBudgetExceeded:
-            undecided += 1
             continue
-        decided += 1
         if both is None or tboth is None:
-            resp += 1 if (both is None) == (tboth is None) else 0
-        elif apply_morphism(m, both).factors == tboth.factors:
-            resp += 1
+            respected.append((both is None) == (tboth is None))
+        else:
+            respected.append(apply_morphism(m, both).factors == tboth.factors)
     checks += [
-        Check(f"injectivity on {inj_total} distinct pairs", inj == inj_total,
-              f"{inj}/{inj_total}"),
-        Check(f"divisibility reflection on {len(xs)} pairs", refl == len(xs),
-              f"{refl}/{len(xs)}"),
-        Check(f"lcm respect on {decided} decided pairs", resp == decided,
-              f"{resp}/{decided}"),
+        _tally("injectivity on {} distinct pairs", injective),
+        _tally("divisibility reflection on {} pairs", reflected),
+        _tally("lcm respect on {} decided pairs", respected),
     ]
-    if undecided:
-        skipped.append(("lcm respect", f"{undecided} pairs over the step budget"))
+    if len(respected) < len(xs):
+        skipped.append(("lcm respect",
+                        f"{len(xs) - len(respected)} pairs over the step budget"))
 
     # the longest element maps to the longest element of the carrier
     if is_spherical(m.source):
@@ -234,60 +238,53 @@ def verify_respects_lcm(
     return VerificationReport("lcm respect", tuple(checks), tuple(skipped))
 
 
+def _factorwise_image(m: AdmissibleMorphism, x: PosBraid) -> PosBraid | None:
+    """The braid whose factors are the images of the normal-form factors
+    of x, or None when some image is not a simple or the images are not
+    already left-greedy."""
+    image_factors = []
+    for f in x.factors:
+        img = apply_morphism(m, lift(f))
+        if len(img.factors) != 1:
+            return None  # a simple must map to a simple
+        image_factors.append(img.factors[0])
+    try:
+        return PosBraid(m.target, tuple(image_factors))
+    except ValueError:
+        return None  # factor images must already be left-greedy
+
+
 def verify_respects_normal_forms(
     m: AdmissibleMorphism,
-    samples: int = 100,
-    max_len: int = 6,
+    samples: int = DEFAULT_SAMPLES,
+    max_len: int = DEFAULT_MAX_LEN,
     seed: int = 0,
 ) -> VerificationReport:
     """Factorwise images of normal forms are normal forms; gcd's and
     irreducible fractions are respected."""
     rng = random.Random(seed)
-    checks = []
     xs = _random_source_elements(m, rng, samples, max_len)
-    nf_ok = 0
-    for x in xs:
-        fx = apply_morphism(m, x)
-        image_factors = []
-        good = True
-        for f in x.factors:
-            img = apply_morphism(m, lift(f))
-            if len(img.factors) != 1:
-                good = False  # a simple must map to a simple
-                break
-            image_factors.append(img.factors[0])
-        if good:
-            try:
-                rebuilt = PosBraid(m.target, tuple(image_factors))
-            except ValueError:
-                good = False  # factor images must already be left-greedy
-        if good and rebuilt.factors == fx.factors:
-            nf_ok += 1
-    checks.append(Check(f"normal form factorwise on {len(xs)} elements",
-                        nf_ok == len(xs), f"{nf_ok}/{len(xs)}"))
-
     ys = _random_source_elements(m, rng, samples, max_len)
-    gcd_ok = 0
-    for x, y in zip(xs, ys):
-        fx, fy = apply_morphism(m, x), apply_morphism(m, y)
-        if apply_morphism(m, gcd(x, y, "left")).factors == gcd(fx, fy, "left").factors:
-            gcd_ok += 1
-    checks.append(Check(f"gcd respect on {len(xs)} pairs", gcd_ok == len(xs),
-                        f"{gcd_ok}/{len(xs)}"))
-
+    fxs = [apply_morphism(m, x) for x in xs]
+    fys = [apply_morphism(m, y) for y in ys]
+    factorwise = []
+    for x, fx in zip(xs, fxs):
+        rebuilt = _factorwise_image(m, x)
+        factorwise.append(rebuilt is not None and rebuilt.factors == fx.factors)
+    checks = [
+        _tally("normal form factorwise on {} elements", factorwise),
+        _tally("gcd respect on {} pairs", [
+            apply_morphism(m, gcd(x, y, "left")).factors == gcd(fx, fy, "left").factors
+            for x, y, fx, fy in zip(xs, ys, fxs, fys)]),
+    ]
     if is_spherical(m.source) and is_spherical(m.target):
-        frac_ok = 0
-        for x, y in zip(xs, ys):
-            fx, fy = apply_morphism(m, x), apply_morphism(m, y)
+        fractions = []
+        for x, y, fx, fy in zip(xs, ys, fxs, fys):
             fr = irreducible_fraction(x, y, "left")
             tf = irreducible_fraction(fx, fy, "left")
-            if (
-                apply_morphism(m, fr.first).factors == tf.first.factors
-                and apply_morphism(m, fr.second).factors == tf.second.factors
-            ):
-                frac_ok += 1
-        checks.append(Check(f"irreducible fractions on {len(xs)} pairs",
-                            frac_ok == len(xs), f"{frac_ok}/{len(xs)}"))
+            fractions.append(apply_morphism(m, fr.first).factors == tf.first.factors
+                             and apply_morphism(m, fr.second).factors == tf.second.factors)
+        checks.append(_tally("irreducible fractions on {} pairs", fractions))
     return VerificationReport("normal form respect", tuple(checks))
 
 
@@ -309,14 +306,10 @@ def is_lcm_partition(
         carrier = tuple(sorted(a + b))
         if is_spherical(g.restrict(carrier)):
             n = pair_order(g, a, b, bound)
-            ra, rb = lift(longest_element(g, a)), lift(longest_element(g, b))
+            ra, rb = longest_element(g, a), longest_element(g, b)
             want = lift(longest_element(g, carrier))
-            ok = True
-            for first, second in ((ra, rb), (rb, ra)):
-                prod = braid_identity(g)
-                for k in range(n):
-                    prod = multiply(prod, second if k % 2 else first)
-                ok = ok and prod.factors == want.factors
+            ok = all(normalize(g, [second if k % 2 else first for k in range(n)]).factors
+                     == want.factors for first, second in ((ra, rb), (rb, ra)))
             detail = (f"finite entry {n}" if ok
                       else f"product of {n} alternating factors is not r_J")
         else:
@@ -445,8 +438,7 @@ def verify_burst(b: BurstResult, bound: int = DEFAULT_BOUND) -> BurstReport:
             "all components are opposite-pair squares" if not bad
             else f"component {bad[0]} is not an opposite-pair square",
         ))
-    matches = all(ptype.entry(i, j) == b.original.m(i, j)
-                  for i, j in itertools.combinations(b.original.vertices, 2))
+    matches = ptype.is_resolved and ptype.graph() == b.original
     return BurstReport(b, verdict, ptype, matches, tuple(structure))
 
 
@@ -533,10 +525,7 @@ def check_folding(
     p = block_partition(src, [fibers[t] for t in base.vertices], base.vertices)
     verdict = check_admissible(p, bound)
     ptype = partition_type(p, bound)
-    matches = all(
-        ptype.entry(i, j) == base.m(i, j)
-        for i, j in itertools.combinations(base.vertices, 2)
-    )
+    matches = ptype.is_resolved and ptype.graph() == base
     tags = []
     for i, j in itertools.combinations(base.vertices, 2):
         m = base.m(i, j)
@@ -554,28 +543,21 @@ def check_folding(
                          else f"unexpected edge {cross[0]}"))
             continue
         gf = src.restrict(tuple(sorted(fa + fb)))
-        comps = gf.components()
         comp_tags = []
-        ok = True
-        detail = ""
-        for comp in comps:
+        for comp in gf.components():
             tag, info = _component_tag(gf, comp, fa, fb, m)
             if tag is None:
-                ok = False
-                detail = f"component {comp}: {info}"
+                tags.append(((i, j), m, None, False, f"component {comp}: {info}"))
                 break
             comp_tags.append(tag)
-        if ok:
+        else:
             if all(t == "A" for t in comp_tags):
                 tag = "A"
             elif len(comp_tags) == 1:
                 tag = comp_tags[0]
             else:
                 tag = "D(" + ",".join(comp_tags) + ")"
-            detail = f"components tagged {comp_tags}"
-        else:
-            tag = None
-        tags.append(((i, j), m, tag, ok, detail))
+            tags.append(((i, j), m, tag, True, f"components tagged {comp_tags}"))
     return FoldingReport(
         src, base, tuple(sorted(mapping.items())), p, verdict, ptype,
         matches, tuple(tags),
@@ -642,7 +624,7 @@ def fixed_submonoid_check(
     g: CoxeterGraph,
     generators,
     length_bound: int,
-    budget: int = 200_000,
+    budget: int = DEFAULT_BUDGET,
 ) -> FixedSubmonoidReport:
     """Enumerate, length by length, the braids fixed by every generator
     automorphism, and the products of the lifted longest elements of the
@@ -657,6 +639,7 @@ def fixed_submonoid_check(
     # levels (dicts keyed by normal form) and frontiers (lists) keep
     # insertion order, so the work done does not follow the string hash seed
     fixed = [set() for _ in range(length_bound + 1)]
+    atoms = [braid_from_word(g, (v,)) for v in g.vertices]
     one = braid_identity(g)
     level = {one.factors: one}
     for L in range(length_bound + 1):
@@ -666,8 +649,8 @@ def fixed_submonoid_check(
         if L < length_bound:
             nxt = {}
             for x in level.values():
-                for v in g.vertices:
-                    y = multiply(x, braid_from_word(g, (v,)))
+                for atom in atoms:
+                    y = multiply(x, atom)
                     nxt.setdefault(y.factors, y)
                     if len(nxt) > budget:
                         raise StepBudgetExceeded(

@@ -429,24 +429,15 @@ def _orbit_certificate(g: CoxeterGraph, blocks):
     return None
 
 
-def _orbits_of(vertices, maps):
-    parent = {v: v for v in vertices}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for a in maps:
-        for v in vertices:
-            ra, rb = find(v), find(a[v])
-            if ra != rb:
-                parent[ra] = rb
-    groups = {}
+def _orbits_of(vertices, group):
+    """The orbits of a whole group of vertex maps, identity included, in
+    the order of their least vertex: the orbit of v is {a[v] : a}."""
+    orbits, seen = [], set()
     for v in vertices:
-        groups.setdefault(find(v), []).append(v)
-    return [tuple(sorted(vs)) for vs in groups.values()]
+        if v not in seen:
+            orbits.append(tuple(sorted({a[v] for a in group})))
+            seen.update(orbits[-1])
+    return orbits
 
 
 # -- partition-level operations -------------------------------------------
@@ -468,38 +459,34 @@ def check_admissible(p: BlockPartition, bound: int = DEFAULT_BOUND) -> Admissibi
             reason="blocks are the orbits of their stabilizer in Aut",
             certificate=cert,
         )
-    details = []
-    worst = "admissible"
-    first_bad = None
-    for (na, a), (nb, b) in itertools.combinations(zip(p.names, p.blocks), 2):
-        v = check_pair(p.graph, a, b, bound)
-        details.append(((na, nb), v))
-        if v.outcome == "not_admissible" and first_bad is None:
-            first_bad = v
-            worst = "not_admissible"
-        elif v.outcome == "unknown" and worst == "admissible":
-            worst = "unknown"
-    if worst == "not_admissible":
+    # every pair is checked; the first refusal, else the unknown pairs,
+    # decides the verdict
+    details = tuple([
+        ((na, nb), check_pair(p.graph, a, b, bound))
+        for (na, a), (nb, b) in itertools.combinations(zip(p.names, p.blocks), 2)
+    ])
+    refused = [v for _, v in details if v.outcome == "not_admissible"]
+    if refused:
         return AdmissibilityVerdict(
             "not_admissible",
             bound,
-            reason=f"pair {first_bad.pair} is not admissible: {first_bad.reason}",
-            witness=first_bad.witness,
-            details=tuple(details),
+            reason=f"pair {refused[0].pair} is not admissible: {refused[0].reason}",
+            witness=refused[0].witness,
+            details=details,
         )
-    if worst == "unknown":
-        which = [d for d, v in details if v.outcome == "unknown"]
+    unknown = [d for d, v in details if v.outcome == "unknown"]
+    if unknown:
         return AdmissibilityVerdict(
             "unknown",
             bound,
-            reason=f"pairs {which} compatible to the bound but uncertified",
-            details=tuple(details),
+            reason=f"pairs {unknown} compatible to the bound but uncertified",
+            details=details,
         )
     return AdmissibilityVerdict(
         "admissible",
         bound,
         reason="every pair of blocks is admissible",
-        details=tuple(details),
+        details=details,
     )
 
 
@@ -524,12 +511,10 @@ class PartitionType(namedtuple("PartitionType", "partition orders bound")):
         """The type as a Coxeter graph over the block names."""
         if not self.is_resolved:
             raise ValueError(f"type not resolved within bound {self.bound}")
-        edges = []
         names = self.partition.names
-        for i in range(len(names)):
-            for j in range(i + 1, len(names)):
-                edges.append((names[i], names[j], self.orders[i][j]))
-        return CoxeterGraph.from_edges(names, edges)
+        return CoxeterGraph.from_edges(names, [
+            (names[i], names[j], self.orders[i][j])
+            for i, j in itertools.combinations(range(len(names)), 2)])
 
     def to_json(self) -> dict:
         def enc(x):
@@ -574,18 +559,17 @@ def partition_type(
     return PartitionType(p, tuple(tuple(row) for row in orders), bound)
 
 
-def orbit_partition(g: CoxeterGraph, generators=None, subset=None) -> BlockPartition:
-    """Partition of (a subset of) the vertices into the *spherical* orbits
-    of a group of automorphisms (the full Aut by default).  Orbits spanning
-    non-spherical subgraphs are dropped from the carrier."""
-    gr = g if subset is None else g.restrict(subset)
+def orbit_partition(g: CoxeterGraph, generators=None) -> BlockPartition:
+    """Partition of the vertices into the *spherical* orbits of a group of
+    automorphisms (the full Aut by default).  Orbits spanning non-spherical
+    subgraphs are dropped from the carrier."""
     group = (
-        automorphisms(gr)
+        automorphisms(g)
         if generators is None
-        else generated_permutation_group(gr, generators)
+        else generated_permutation_group(g, generators)
     )
-    orbits = _orbits_of(gr.vertices, group)
-    spherical_orbits = [o for o in orbits if is_spherical(gr.restrict(o))]
+    orbits = _orbits_of(g.vertices, group)
+    spherical_orbits = [o for o in orbits if is_spherical(g.restrict(o))]
     if not spherical_orbits:
         raise ValueError("no spherical orbits")
     return block_partition(g, spherical_orbits)
