@@ -116,6 +116,9 @@ REPORTS = {
     "nf mislabelled": (
         lambda: verify_respects_normal_forms(_mislabelled(), samples=6, max_len=4),
         "d50de80bfabe74ec"),
+    "nf mislabelled wide": (
+        lambda: verify_respects_normal_forms(_mislabelled(), samples=40, max_len=6),
+        "5fd0cd1a4fcf0238"),
     "lcm partition Atilde3": (
         lambda: is_lcm_partition(
             block_partition(named_graph("Atilde3"), [["1", "3"], ["2", "4"]])),
@@ -133,6 +136,9 @@ REPORTS = {
     "verify burst B2": (
         lambda: verify_burst(burst(named_graph("B2"), 3)),
         "a10fbe17f8c1e305"),
+    "verify burst B2 as A2": (
+        lambda: verify_burst(burst(named_graph("B2"), 3)._replace(original=named_graph("A2"))),
+        "fa3b5a4a5e609909"),
     "folding E6 F4": (
         lambda: check_folding(named_graph("E6"), named_graph("F4"), {
             "1": "1", "6": "1", "3": "2", "5": "2", "4": "3", "2": "4"}),
