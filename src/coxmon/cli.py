@@ -488,7 +488,10 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except StepBudgetExceeded as e:
-        print(f"step budget exhausted: {e}", file=sys.stderr)
+        reason = f"step budget exhausted: {e}"
+        print(reason, file=sys.stderr)
+        # undecided, so an "unknown" envelope under --json; text mode prints nothing
+        _emit(args, (), {"outcome": "unknown", "reason": reason})
         return EXIT_UNKNOWN
     except (ValueError, OSError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -431,11 +431,6 @@ class MatrixElement(_Element, namedtuple("MatrixElement", "graph matrix")):
     def is_identity(self) -> bool:
         return self.matrix == identity_element(self.graph, "matrix").matrix
 
-    @_cached
-    def right_mask(self) -> int:
-        # not through the kernel, which most matrix graphs never need
-        return _matrix_mask(self.graph, self.matrix)
-
     def has_right_descent_in(self, mask: int) -> bool:
         """One sign per masked column: the column of a group element is a
         root, so the sign of its first nonzero entry is the sign of every
@@ -673,74 +668,3 @@ def is_compatible(g: CoxeterGraph, blocks) -> bool:
         return len(w.reduced_word(step_ceiling=10 * (total + 1))) == total
     return w.length == total
 
-
-# -- word-level oracle (independent of the backends above) -----------------
-
-
-def _braid_moves(g: CoxeterGraph):
-    # iterate over all vertex pairs, not just the drawn edges: m = 2 is
-    # the commutation move, and dropping it leaves the closure incomplete
-    moves = []
-    for a_i in range(len(g.vertices)):
-        for b_i in range(a_i + 1, len(g.vertices)):
-            i, j = g.vertices[a_i], g.vertices[b_i]
-            m = g.m(i, j)
-            if math.isinf(m):
-                continue
-            a = tuple((i, j)[k % 2] for k in range(m))
-            b = tuple((j, i)[k % 2] for k in range(m))
-            moves.append((a, b))
-            moves.append((b, a))
-    return moves
-
-
-def _braid_closure(g: CoxeterGraph, word, max_states: int):
-    moves = _braid_moves(g)
-    word = tuple(word)
-    seen = {word}
-    frontier = [word]
-    while frontier:
-        new = []
-        for w in frontier:
-            for pat, rep in moves:
-                L = len(pat)
-                for k in range(len(w) - L + 1):
-                    if w[k:k + L] == pat:
-                        img = w[:k] + rep + w[k + L:]
-                        if img not in seen:
-                            if len(seen) >= max_states:
-                                raise RuntimeError(
-                                    "braid-move closure exceeded the state ceiling"
-                                )
-                            seen.add(img)
-                            new.append(img)
-        frontier = new
-    return seen
-
-
-def word_reduce(g: CoxeterGraph, word, max_states: int = 200_000):
-    """A canonical reduced word for the group element of ``word``.
-
-    Tits: repeatedly close under braid moves; if any equivalent word has an
-    adjacent equal pair, delete the pair and start over.  The final closure
-    is the full set of reduced words; return its lexicographic minimum.
-    """
-    word = tuple(word)
-    while True:
-        closure = _braid_closure(g, word, max_states)
-        shorter = None
-        for w in closure:
-            for k in range(len(w) - 1):
-                if w[k] == w[k + 1]:
-                    shorter = w[:k] + w[k + 2:]
-                    break
-            if shorter is not None:
-                break
-        if shorter is None:
-            return min(closure)
-        word = shorter
-
-
-def tits_oracle(g: CoxeterGraph, word1, word2, max_states: int = 200_000) -> bool:
-    """Word-level equality in W, by rewriting only (no linear algebra)."""
-    return word_reduce(g, word1, max_states) == word_reduce(g, word2, max_states)

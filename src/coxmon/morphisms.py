@@ -41,7 +41,6 @@ from .graphs import (
     CoxeterGraph,
     bipartite_classes,
     classify_spherical,
-    generated_permutation_group,
     is_infinite,
     is_spherical,
 )
@@ -102,12 +101,10 @@ def build_morphism(
     g: CoxeterGraph,
     p: BlockPartition,
     bound: int = DEFAULT_BOUND,
-    verdict: AdmissibilityVerdict | None = None,
 ) -> AdmissibleMorphism:
     """Construct the morphism of an admissible partition; ValueError when
     the partition is not certified admissible or its type is unresolved."""
-    if verdict is None:
-        verdict = check_admissible(p, bound)
+    verdict = check_admissible(p, bound)
     if not verdict.is_admissible:
         raise ValueError(f"partition is not admissible: {verdict.reason}")
     # the verdict covers every pair, so unresolved non-spherical entries
@@ -628,14 +625,15 @@ def fixed_submonoid_check(
 ) -> FixedSubmonoidReport:
     """Enumerate, length by length, the braids fixed by every generator
     automorphism, and the products of the lifted longest elements of the
-    spherical orbits; report both counts (they must agree).
+    spherical orbits; report both counts (they must agree).  A braid fixed
+    by each generator is fixed by their products, so no group is needed.
 
     Raises StepBudgetExceeded when a length level holds more than
     ``budget`` elements."""
     if length_bound < 0:
         raise ValueError(f"length_bound must be >= 0, got {length_bound}")
-    group = generated_permutation_group(g, generators)
-    p = orbit_partition(g, generators)
+    generators = [dict(a) for a in generators]
+    p = orbit_partition(g, generators)  # checks that each is an automorphism
     # levels (dicts keyed by normal form) and frontiers (lists) keep
     # insertion order, so the work done does not follow the string hash seed
     fixed = [set() for _ in range(length_bound + 1)]
@@ -644,7 +642,7 @@ def fixed_submonoid_check(
     level = {one.factors: one}
     for L in range(length_bound + 1):
         for x in level.values():
-            if all(_relabel_braid(x, a).factors == x.factors for a in group):
+            if all(_relabel_braid(x, a).factors == x.factors for a in generators):
                 fixed[L].add(x.factors)
         if L < length_bound:
             nxt = {}

@@ -39,8 +39,8 @@ of a and of b is a left descent of x.  The scan runs in W_J, so x is an
 element of W_J with every generator as a left descent, and only a finite
 Coxeter group has one (Björner and Brenti, *Combinatorics of Coxeter
 Groups*, ch. 2).  So J is spherical.  A refusal over an infinite carrier
-may still find a finite order (the power scan after an alpha witness);
-whether it ever does is open.
+may still find a finite order (the scan runs on to the bound after an
+alpha witness); whether it ever does is open.
 
 Certificates that upgrade Unknown to Admissible: the pair/partition equals
 the orbit partition of the subgroup of graph automorphisms stabilizing its
@@ -285,30 +285,31 @@ def pair_order(g: CoxeterGraph, alpha, beta, bound: int = DEFAULT_BOUND):
 def _scan_alternating(gr: CoxeterGraph, alpha, beta, limit: int):
     """Build both alternating words in lockstep, up to ``limit`` factors.
 
-    Returns (witness, m, product).  The scan stops at the first failure of
-    the alpha word, the preferred witness, with m and product None.
-    Otherwise it stops at the first n <= limit where the two products
-    agree, which is the order m, with product P_m; the witness is then the
-    first failure of the beta word, or None.  m is None when the words do
-    not agree within the limit.
+    Returns (witness, m, product).  The scan stops at the first n <= limit
+    where the two products agree, which is the order m, with product P_m;
+    m and product are None when they do not agree within the limit.  The
+    witness is the first failure of the alpha word, the preferred one, else
+    the first failure of the beta word, else None; once the alpha word has
+    failed, the products are still multiplied but no descent is tested.
     """
     index = gr._index
     mask_a = sum(1 << index[v] for v in alpha)
     mask_b = sum(1 << index[v] for v in beta)
     ra, rb = longest_element(gr, alpha), longest_element(gr, beta)
     pa, pb = ra, rb
-    beta_witness = None
+    alpha_witness = beta_witness = None
     for n in range(2, limit + 1):
         odd = n % 2
         # l(w r_B) = l(w) + l(r_B) iff w has no right descent in B
-        if pa.has_right_descent_in(mask_a if odd else mask_b):
-            return IncompatibleWord(alpha, beta, n, "alpha"), None, None
-        if beta_witness is None and pb.has_right_descent_in(mask_b if odd else mask_a):
-            beta_witness = IncompatibleWord(alpha, beta, n, "beta")
+        if alpha_witness is None:
+            if pa.has_right_descent_in(mask_a if odd else mask_b):
+                alpha_witness = IncompatibleWord(alpha, beta, n, "alpha")
+            elif beta_witness is None and pb.has_right_descent_in(mask_b if odd else mask_a):
+                beta_witness = IncompatibleWord(alpha, beta, n, "beta")
         pa, pb = (pa * ra, pb * rb) if odd else (pa * rb, pb * ra)
         if pa == pb:
-            return beta_witness, n, pa
-    return beta_witness, None, None
+            return alpha_witness or beta_witness, n, pa
+    return alpha_witness or beta_witness, None, None
 
 
 def _refusal(g: CoxeterGraph, witness, bound: int, pair, reason: str):
@@ -363,11 +364,7 @@ def check_pair(
     exact = pair_order(gr, alpha, beta) if spherical else None
     witness, m, product = _scan_alternating(
         gr, alpha, beta, bound if exact is None else exact)
-    if witness is not None and witness.first == "alpha":
-        # the scan stopped at the alpha word, before the order; the reason
-        # still quotes it
-        m = exact if spherical else pair_order(gr, alpha, beta, bound)
-    elif spherical and m != exact:
+    if spherical and m != exact:
         raise RuntimeError(f"alternating products of {pair} first agree at"
                            f" {m} factors, not at the order {exact}")
     if witness is not None:
@@ -697,17 +694,12 @@ class ClassificationReport(namedtuple(
         }
 
 
-def _length_filter_passes(la: int, lb: int, total: int) -> int | None:
-    """Smallest n >= 2 making the alternating length identity possible in
-    both orders: even n needs (n/2)(la+lb) = total, odd n needs la = lb and
-    n la = total.  Returns the n, or None when no n exists."""
-    for n in range(2, 2 * total + 1):
-        if n % 2 == 0:
-            if n // 2 * (la + lb) == total:
-                return n
-        elif la == lb and n * la == total:
-            return n
-    return None
+def _length_filter_passes(la: int, lb: int, total: int) -> bool:
+    """Whether some n >= 2 makes the alternating length identity possible
+    in both orders.  Even n needs (n/2)(la+lb) = total, so (la+lb) | total;
+    odd n needs la = lb and n la = total, so la | total (and n >= 3, since
+    total > la + lb for blocks joined by an edge)."""
+    return total % (la if la == lb else la + lb) == 0
 
 
 def classify_2partitions(
@@ -748,7 +740,7 @@ def classify_2partitions(
                 continue
             la = positive_root_count(g.restrict(a))
             lb = positive_root_count(g.restrict(b))
-            if _length_filter_passes(la, lb, total) is None:
+            if not _length_filter_passes(la, lb, total):
                 eliminated.append(
                     (p, "length", f"block lengths {la}/{lb} against {total}")
                 )

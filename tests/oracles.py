@@ -106,6 +106,27 @@ def words_equal(g, u, v):
     return len(u) == len(v) and tuple(v) in word_class(g, tuple(u))
 
 
+def word_reduce(g, word):
+    """A canonical reduced word for the group element of ``word``.
+
+    Tits: while some braid-equivalent word has two equal adjacent letters,
+    delete that pair and start over.  The class that is left is the full
+    set of reduced words; return its lexicographic minimum.
+    """
+    word = tuple(word)
+    while True:
+        shorter = next((w[:k] + w[k + 2:] for w in word_class(g, word)
+                        for k in range(len(w) - 1) if w[k] == w[k + 1]), None)
+        if shorter is None:
+            return canon(g, word)
+        word = shorter
+
+
+def tits_oracle(g, word1, word2):
+    """Word-level equality in W, by rewriting only (no linear algebra)."""
+    return word_reduce(g, word1) == word_reduce(g, word2)
+
+
 _ldivs: dict = {}
 _rdivs: dict = {}
 

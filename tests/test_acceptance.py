@@ -21,6 +21,7 @@ from oracles import (
     oracle_gcd,
     oracle_nf,
     is_simple_word,
+    tits_oracle,
     verify_lcm,
 )
 
@@ -59,7 +60,6 @@ from coxmon import (
     partition_type,
     positive_root_count,
     replay_witness,
-    tits_oracle,
     verify_burst,
     verify_respects_lcm,
     verify_respects_normal_forms,

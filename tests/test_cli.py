@@ -408,7 +408,13 @@ def test_word_commands_exit_contract_on_generated_inputs(capsys, tmp_path):
             if code == 3:
                 assert out == "" and "error" in err, argv
             elif code == 2:  # only a budget leaves an lcm undecided
-                assert out == "" and "step budget exhausted" in err, argv
+                assert "step budget exhausted" in err, argv
+                if json_flag:
+                    data = json.loads(out)
+                    assert data == {"schema": 1, "command": argv[0], "outcome": "unknown",
+                                    "reason": err.strip()}, argv
+                else:
+                    assert out == "", argv
             elif json_flag:
                 data = json.loads(out)
                 assert (data["schema"], data["command"]) == (1, argv[0]), argv
@@ -424,7 +430,8 @@ def test_word_commands_exit_contract_on_generated_inputs(capsys, tmp_path):
 # code, and the first 16 hex digits of the sha256 of stdout, recorded
 # before the report records and the CLI encoders were unified: every
 # subcommand in text and JSON, the exit 1, 2 and 3 cases, and each help
-# text at 80 columns
+# text at 80 columns.  The two --json runs that exhaust a budget were
+# re-recorded when such a run gained its "unknown" envelope
 GOLDEN = [
     ("check-partition A3 bipartite", 0, "5f7ef0b28b6261eb"),
     ("check-partition A3 bipartite --json", 0, "9dc280790a687b05"),
@@ -467,7 +474,7 @@ GOLDEN = [
     ("lcm I2(inf) 1 2", 1, "0cadb6bfcb66af10"),
     ("lcm I2(inf) 1 2 --json", 1, "79a10bf3e275fec0"),
     ("lcm Atilde3 1,3 2,4 --steps 500", 2, "e3b0c44298fc1c14"),
-    ("lcm Atilde3 1,3 2,4 --steps 500 --json", 2, "e3b0c44298fc1c14"),
+    ("lcm Atilde3 1,3 2,4 --steps 500 --json", 2, "c80f150378420264"),
     ("gcd A2 1,1,2 1,2", 0, "337cd3be69f23e1a"),
     ("gcd A2 1,1,2 1,2 --json", 0, "9bcdcc53cad1bdc4"),
     ("gcd B3 1,2,3 3,2,1 --side right", 0, "21c3675576656027"),
@@ -485,7 +492,7 @@ GOLDEN = [
     ("fixed-points A3 1:3,3:1,2:2 --length-bound 6", 0, "9518fdd2dc1b63f1"),
     ("fixed-points A3 1:3,3:1,2:2 --length-bound 6 --json", 0, "83b1fa208b5d8f7b"),
     ("fixed-points A3 1:3,3:1,2:2 --length-bound 8 --budget 5", 2, "e3b0c44298fc1c14"),
-    ("fixed-points A3 1:3,3:1,2:2 --length-bound 8 --budget 5 --json", 2, "e3b0c44298fc1c14"),
+    ("fixed-points A3 1:3,3:1,2:2 --length-bound 8 --budget 5 --json", 2, "12e40a46fadc58df"),
     ("orbits D4", 0, "2cd94dc97871b862"),
     ("orbits D4 --json", 0, "ad8dd1112b03ba04"),
     ("orbits A3 1:3,3:1,2:2", 0, "a8e69a8f4d15a0b4"),

@@ -22,12 +22,11 @@ from coxmon import (
     order_of,
     positive_root_count,
     support,
-    tits_oracle,
-    word_reduce,
 )
 from coxmon import elements
 from coxmon.elements import MatrixElement, _cos_rows, pick_backend
 from coxmon.exact import ExactScalar, field_for_modulus, poly_divmod_monic, poly_mul
+from oracles import tits_oracle, word_reduce
 
 # group orders of small spherical types: |W| = product of (exponents + 1),
 # cross-checked below by breadth-first enumeration

@@ -1,3 +1,4 @@
+import itertools
 import os
 import pathlib
 import random
@@ -394,6 +395,27 @@ def test_fixed_submonoid_d4_rotation():
     assert rep.ok and rep.sets_match
     assert rep.fixed_counts == (1, 1, 1, 2, 3, 4)
     assert rep.ptype.graph().m("1", "2") == 6  # the orbit type is I2(6)
+
+
+def test_fixed_submonoid_tests_each_generator():
+    # the leaves 1, 3 and 4 of D4 sit around vertex 2: the transpositions
+    # (1 3) and (3 4) generate S3, and a braid fixed by each is fixed by
+    # every product, so they report what all six elements of S3 report
+    g = named_graph("D4")
+    leaves = ("1", "3", "4")
+    s3 = [{"2": "2", **dict(zip(leaves, image))} for image in itertools.permutations(leaves)]
+    whole = fixed_submonoid_check(g, s3, 5)
+    assert whole.ok and whole.sets_match
+    assert whole.fixed_counts == (1, 1, 1, 2, 3, 4)
+    swap_13 = {"1": "3", "3": "1", "4": "4", "2": "2"}
+    swap_34 = {"1": "1", "3": "4", "4": "3", "2": "2"}
+    cycle = {"1": "3", "3": "4", "4": "1", "2": "2"}
+    assert fixed_submonoid_check(g, [swap_13, swap_34], 5) == whole
+    assert fixed_submonoid_check(g, [cycle, swap_13], 5) == whole
+    # a repeated generator changes nothing
+    flip = {"1": "3", "3": "1", "2": "2"}
+    a3 = named_graph("A3")
+    assert fixed_submonoid_check(a3, [flip, flip], 6) == fixed_submonoid_check(a3, [flip], 6)
 
 
 def test_fixed_submonoid_rejects_non_automorphism():

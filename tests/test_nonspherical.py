@@ -20,8 +20,8 @@ from coxmon import (
     identity_element,
     is_spherical,
     replay_witness,
-    tits_oracle,
 )
+from oracles import tits_oracle
 
 LABELS = [2, 3, 4, 5, 6, INFINITY]
 
