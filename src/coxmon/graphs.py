@@ -548,32 +548,3 @@ def automorphisms(g: CoxeterGraph) -> list:
 def is_isomorphic(g1: CoxeterGraph, g2: CoxeterGraph) -> bool:
     return bool(isomorphisms(g1, g2))
 
-
-def compose_maps(outer: dict, inner: dict) -> dict:
-    return {v: outer[inner[v]] for v in inner}
-
-
-def generated_permutation_group(g: CoxeterGraph, generators) -> list:
-    """Closure of a list of automorphisms (dicts) under composition."""
-    ident = {v: v for v in g.vertices}
-    seen = {tuple(sorted(ident.items())): ident}
-    frontier = [ident]
-    gens = [dict(a) for a in generators]
-    for a in gens:
-        if set(a) != set(g.vertices) or set(a.values()) != set(g.vertices):
-            raise ValueError("automorphism must be a vertex bijection")
-        for u in g.vertices:
-            for v in g.vertices:
-                if g.m(a[u], a[v]) != g.m(u, v):
-                    raise ValueError("map does not preserve labels")
-    while frontier:
-        new = []
-        for cur in frontier:
-            for a in gens:
-                nxt = compose_maps(a, cur)
-                key = tuple(sorted(nxt.items()))
-                if key not in seen:
-                    seen[key] = nxt
-                    new.append(nxt)
-        frontier = new
-    return list(seen.values())

@@ -102,8 +102,10 @@ def build_morphism(
     p: BlockPartition,
     bound: int = DEFAULT_BOUND,
 ) -> AdmissibleMorphism:
-    """Construct the morphism of an admissible partition; ValueError when
-    the partition is not certified admissible or its type is unresolved."""
+    """Construct the morphism of an admissible partition p of g; ValueError
+    when p is over another graph, not certified admissible or of unresolved type."""
+    if p.graph != g:
+        raise ValueError("partition is not over the given graph")
     verdict = check_admissible(p, bound)
     if not verdict.is_admissible:
         raise ValueError(f"partition is not admissible: {verdict.reason}")
@@ -613,8 +615,24 @@ class FixedSubmonoidReport(namedtuple(
         return self.sets_match and self.fixed_counts == self.generated_counts
 
 
-def _relabel_braid(x: PosBraid, a: dict) -> PosBraid:
-    return braid_from_word(x.graph, [a[v] for v in x.word()])
+def _products_by_length(g: CoxeterGraph, simples, length_bound: int, budget: int,
+                        what: str) -> list:
+    """The products of the given braids, one dict per length 0..bound
+    keyed by normal form; dicts keep insertion order, so the work done
+    does not follow the string hash seed.  Raises StepBudgetExceeded once
+    a length holds more than ``budget`` elements."""
+    one = braid_identity(g)
+    levels = [{} for _ in range(length_bound + 1)]
+    levels[0][one.factors] = one
+    for L, level in enumerate(levels):
+        for x in level.values():
+            for r in simples:
+                if L + r.length <= length_bound:
+                    y = multiply(x, r)
+                    levels[L + r.length].setdefault(y.factors, y)
+                    if len(levels[L + r.length]) > budget:
+                        raise StepBudgetExceeded(f"{what} enumeration passed {budget} elements")
+    return levels
 
 
 def fixed_submonoid_check(
@@ -634,44 +652,16 @@ def fixed_submonoid_check(
         raise ValueError(f"length_bound must be >= 0, got {length_bound}")
     generators = [dict(a) for a in generators]
     p = orbit_partition(g, generators)  # checks that each is an automorphism
-    # levels (dicts keyed by normal form) and frontiers (lists) keep
-    # insertion order, so the work done does not follow the string hash seed
-    fixed = [set() for _ in range(length_bound + 1)]
     atoms = [braid_from_word(g, (v,)) for v in g.vertices]
-    one = braid_identity(g)
-    level = {one.factors: one}
-    for L in range(length_bound + 1):
-        for x in level.values():
-            if all(_relabel_braid(x, a).factors == x.factors for a in generators):
-                fixed[L].add(x.factors)
-        if L < length_bound:
-            nxt = {}
-            for x in level.values():
-                for atom in atoms:
-                    y = multiply(x, atom)
-                    nxt.setdefault(y.factors, y)
-                    if len(nxt) > budget:
-                        raise StepBudgetExceeded(
-                            f"fixed-point enumeration passed {budget} elements"
-                        )
-            level = nxt
+    fixed = [
+        {k for k, x in level.items()
+         if all(braid_from_word(g, [a[v] for v in x.word()]).factors == k
+                for a in generators)}
+        for level in _products_by_length(g, atoms, length_bound, budget, "fixed-point")
+    ]
     gens = [lift(longest_element(g, b)) for b in p.blocks]
-    reached = [set() for _ in range(length_bound + 1)]
-    reached[0].add(one.factors)
-    frontier = {0: [one]}
-    for L in range(length_bound + 1):
-        for x in frontier.get(L, ()):
-            for r in gens:
-                nl = L + r.length
-                if nl <= length_bound:
-                    y = multiply(x, r)
-                    if y.factors not in reached[nl]:
-                        reached[nl].add(y.factors)
-                        frontier.setdefault(nl, []).append(y)
-                        if len(reached[nl]) > budget:
-                            raise StepBudgetExceeded(
-                                f"submonoid enumeration passed {budget} elements"
-                            )
+    reached = [set(level) for level in _products_by_length(
+        g, gens, length_bound, budget, "submonoid")]
     return FixedSubmonoidReport(
         g,
         p,

@@ -68,7 +68,6 @@ from .graphs import (
     CoxeterGraph,
     automorphisms,
     bipartite_classes,
-    generated_permutation_group,
     is_direct_product,
     is_infinite,
     is_spherical,
@@ -426,15 +425,23 @@ def _orbit_certificate(g: CoxeterGraph, blocks):
     return None
 
 
-def _orbits_of(vertices, group):
-    """The orbits of a whole group of vertex maps, identity included, in
-    the order of their least vertex: the orbit of v is {a[v] : a}."""
+def _orbits_of(vertices, maps):
+    """The orbits of the group generated by some vertex bijections (a whole
+    group, or generators of one), in the order of their least vertex: the
+    orbit of v is its closure under the maps, which needs no inverses
+    because every map of a finite set has finite order."""
     orbits, seen = [], set()
     for v in vertices:
         if v not in seen:
-            orbits.append(tuple(sorted({a[v] for a in group})))
-            seen.update(orbits[-1])
-    return orbits
+            # the orbit grows as it is walked; no map leaves it, so seen serves all orbits
+            seen.add(v)
+            orbits.append([v])
+            for u in orbits[-1]:
+                for a in maps:
+                    if a[u] not in seen:
+                        seen.add(a[u])
+                        orbits[-1].append(a[u])
+    return [tuple(sorted(o)) for o in orbits]
 
 
 # -- partition-level operations -------------------------------------------
@@ -536,6 +543,8 @@ def partition_type(
     bound plus admissibility settles the entry).  The admissibility backing
     is a per-pair certificate, or the caller's word when
     ``assume_admissible`` is set (e.g. a partition certified by a lift)."""
+    if not is_spherical_partition(p):
+        raise ValueError("every block must span a spherical subgraph")
     k = len(p.blocks)
     orders = [[1 if i == j else None for j in range(k)] for i in range(k)]
     for i in range(k):
@@ -557,15 +566,20 @@ def partition_type(
 
 
 def orbit_partition(g: CoxeterGraph, generators=None) -> BlockPartition:
-    """Partition of the vertices into the *spherical* orbits of a group of
-    automorphisms (the full Aut by default).  Orbits spanning non-spherical
-    subgraphs are dropped from the carrier."""
-    group = (
-        automorphisms(g)
-        if generators is None
-        else generated_permutation_group(g, generators)
-    )
-    orbits = _orbits_of(g.vertices, group)
+    """Partition of the vertices into the *spherical* orbits of the group
+    generated by some automorphisms (the full Aut by default).  The orbits
+    are read off the given maps, so the group is never listed.  Orbits
+    spanning non-spherical subgraphs are dropped from the carrier."""
+    if generators is None:
+        maps = automorphisms(g)
+    else:
+        maps = [dict(a) for a in generators]
+        for a in maps:
+            if set(a) != set(g.vertices) or set(a.values()) != set(g.vertices):
+                raise ValueError("automorphism must be a vertex bijection")
+            if any(g.m(a[u], a[v]) != g.m(u, v) for u in g.vertices for v in g.vertices):
+                raise ValueError("map does not preserve labels")
+    orbits = _orbits_of(g.vertices, maps)
     spherical_orbits = [o for o in orbits if is_spherical(g.restrict(o))]
     if not spherical_orbits:
         raise ValueError("no spherical orbits")
@@ -595,6 +609,9 @@ def certify_by_lift(
     ov = check_admissible(outer, bound)
     if not ov.is_admissible:
         raise ValueError(f"outer partition must be admissible: {ov.reason}")
+    # under assume_admissible every entry is resolved
+    if partition_type(outer, bound, assume_admissible=True).graph() != inner.graph:
+        raise ValueError("inner partition must lie over the type graph of the outer one")
     lifted = lift_partition(outer, inner)
     v = check_admissible(lifted, bound)
     if v.is_admissible:

@@ -63,6 +63,14 @@ def test_build_morphism_rejects_inadmissible():
         build_morphism(g, block_partition(g, [["1"], ["2", "3"]]))
 
 
+def test_build_morphism_refuses_a_partition_over_another_graph():
+    # 1,3/2 is admissible over B3, but its images would be taken in A3
+    p = block_partition(named_graph("B3"), [["1", "3"], ["2"]])
+    assert build_morphism(p.graph, p).target == named_graph("B3")
+    with pytest.raises(ValueError, match="partition is not over the given graph"):
+        build_morphism(named_graph("A3"), p)
+
+
 def test_apply_morphism_is_multiplicative():
     g = named_graph("A3")
     m = build_morphism(g, bipartite_partition(g))

@@ -1,10 +1,13 @@
+import itertools
 import math
+import random
 
 import pytest
 
 from coxmon import (
     INFINITY,
     AdmissibilityVerdict,
+    CoxeterGraph,
     ExhaustiveFiniteCertificate,
     IncompatibleWord,
     LiftCertificate,
@@ -15,7 +18,9 @@ from coxmon import (
     check_admissible,
     check_pair,
     classify_2partitions,
+    automorphisms,
     coxeter_number,
+    is_spherical,
     lift_partition,
     named_graph,
     orbit_partition,
@@ -155,6 +160,75 @@ def test_orbit_partition():
     assert blocks_text(q) == "1,6/2/3,5/4"
 
 
+def test_orbit_partition_checks_each_map():
+    g = named_graph("A3")
+    with pytest.raises(ValueError, match="automorphism must be a vertex bijection"):
+        orbit_partition(g, [{"1": "3", "3": "1", "2": "2"}, {"1": "1", "2": "2"}])
+    with pytest.raises(ValueError, match="automorphism must be a vertex bijection"):
+        orbit_partition(g, [{"1": "2", "2": "2", "3": "3"}])
+    with pytest.raises(ValueError, match="map does not preserve labels"):
+        orbit_partition(g, [{"1": "2", "2": "1", "3": "3"}])
+
+
+def ref_orbit_partition(g, generators):
+    """The route orbit_partition used to take: close the generators under
+    composition into the whole group, then read the orbit of v as {a[v]}.
+    None when no orbit is spherical."""
+    ident = {v: v for v in g.vertices}
+    group = {tuple(sorted(ident.items())): ident}
+    frontier = [ident]
+    while frontier:
+        new = []
+        for cur in frontier:
+            for a in generators:
+                nxt = {v: a[cur[v]] for v in cur}
+                key = tuple(sorted(nxt.items()))
+                if key not in group:
+                    group[key] = nxt
+                    new.append(nxt)
+        frontier = new
+    orbits = sorted({tuple(sorted({a[v] for a in group.values()})) for v in g.vertices})
+    spherical = [o for o in orbits if is_spherical(g.restrict(o))]
+    return block_partition(g, spherical) if spherical else None
+
+
+def test_orbits_by_generators_agree_with_the_generated_group():
+    # seeded graphs of rank <= 5, with labels drawn so that symmetry is
+    # common, and random sets of their automorphisms as generators
+    rng = random.Random(5)
+    compared = first_map_finer = 0
+    for _ in range(80):
+        verts = [str(k) for k in range(1, rng.randint(2, 5) + 1)]
+        g = CoxeterGraph.from_edges(verts, [
+            (a, b, m) for a, b in itertools.combinations(verts, 2)
+            if (m := rng.choice((2, 2, 3, 3, 4, INFINITY))) != 2])
+        auts = automorphisms(g)
+        for _ in range(3):
+            gens = rng.sample(auts, rng.randint(0, min(3, len(auts))))
+            want = ref_orbit_partition(g, gens)
+            if want is None:
+                with pytest.raises(ValueError, match="no spherical orbits"):
+                    orbit_partition(g, gens)
+            else:
+                assert orbit_partition(g, gens) == want, (g, gens)
+            compared += 1
+            first_map_finer += ref_orbit_partition(g, gens[:1]) != want
+    assert compared == 240
+    # generators beyond the first matter in enough cases to be tested
+    assert first_map_finer >= 10
+
+
+def test_orbits_of_a_star_from_a_cycle_and_a_transposition():
+    # the leaves generate the symmetric group S12 (12! maps), whose orbits
+    # are read off the two maps without building it
+    leaves = "abdefghijklm"
+    g = parse_graph("\n".join(f"edge c {leaf} 3" for leaf in leaves))
+    cycle = {"c": "c", **{u: v for u, v in zip(leaves, leaves[1:] + leaves[0])}}
+    swap = {**{v: v for v in g.vertices}, "a": "b", "b": "a"}
+    p = orbit_partition(g, [cycle, swap])
+    assert p.blocks == (tuple(leaves), ("c",))
+
+
 def test_partition_type_entries():
     g = named_graph("A3")
     t = partition_type(bipartite_partition(g))
@@ -186,6 +260,18 @@ def test_partition_type_unresolved_within_bound():
     t = partition_type(q, bound=12)
     assert not t.is_resolved
     assert ">" in str(t.to_json())
+
+
+def test_partition_type_refuses_a_non_spherical_block():
+    # a single block meets no pair check, so the type itself refuses it,
+    # with and without the caller's word, as check_admissible does
+    g = named_graph("Atilde3")
+    p = block_partition(g, [["1", "2", "3", "4"]])
+    for assume in (False, True):
+        with pytest.raises(ValueError, match="every block must span a spherical subgraph"):
+            partition_type(p, assume_admissible=assume)
+    with pytest.raises(ValueError, match="every block must span a spherical subgraph"):
+        check_admissible(p)
 
 
 def test_lift_partition():
@@ -289,6 +375,23 @@ def test_two_step_partition_certified_through_its_lift():
     ]
     t2 = partition_type(inner, assume_admissible=True)
     assert math.isinf(t2.entry("1", "2"))  # the composite type is I2(inf)
+
+
+def test_certify_by_lift_requires_inner_over_the_outer_type():
+    # outer: the singletons of A3, whose type is A3 on the names 1, 2, 3;
+    # inner: a partition over A2 x A1 on the same names, which is refused
+    # directly, so its lift through outer must not certify it
+    a3 = named_graph("A3")
+    outer = block_partition(a3, [["1"], ["2"], ["3"]])
+    inner = parse_partition(parse_graph("edge 1 2 3\nvertex 3"), "1,3/2")
+    direct = check_admissible(inner)
+    assert direct.outcome == "not_admissible"
+    assert replay_witness(inner.graph, direct.witness)
+    with pytest.raises(ValueError, match="type graph of the outer"):
+        certify_by_lift(outer, inner)
+    # over the type graph itself the lift decides as before
+    over_type = parse_partition(partition_type(outer).graph(), "1,3/2")
+    assert certify_by_lift(outer, over_type).is_admissible
 
 
 def test_certify_by_lift_requires_admissible_outer():
