@@ -131,7 +131,9 @@ def parse_vertex_map(spec: str) -> dict:
         src, _, dst = item.partition(":")
         if not dst:
             raise ValueError(f"expected 'from:to', got {item!r}")
-        out[src.strip()] = dst.strip()
+        src, dst = src.strip(), dst.strip()
+        if out.setdefault(src, dst) != dst:
+            raise ValueError(f"vertex {src!r} is given two images, {out[src]!r} and {dst!r}")
     return out
 
 

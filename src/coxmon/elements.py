@@ -32,9 +32,7 @@ a_j + 2 cos(pi/m_{ij}) a_i for j != i, and a_i to -a_i.
   refuses a zero or mixed-sign column, which no group element has;
   ``has_right_descent_in`` asks only whether some vertex of a mask is a
   descent, and reads one sign per masked column, that of its first
-  nonzero entry, which decides the column of a group element.  Lengths
-  come from the descent walk (peeling descents until the identity, on the
-  full masks), guarded by a step ceiling against non-group input.
+  nonzero entry, which decides the column of a group element.
 
 The longest element r_J of a spherical parabolic is built once per graph and
 set J, and shared by every caller.
@@ -46,9 +44,11 @@ mask of w is the right mask of w^{-1}, and ``right_descents`` /
 backend also offers three operations on raw element data (a permutation
 table, or matrix rows), gathered per graph in a ``Kernel``: the right
 descent mask, right multiplication by the generator at each vertex index,
-and the inverse.  An element is the identity exactly when its mask is 0, so
-loops that walk an element down to the identity (``canonical_word``, the
-monoid's ``normalize``) need nothing else and serve both backends.
+and the inverse.  One descent walk on a kernel, ``_peel``, peels least
+right descents until the data is the identity's; canonical words, and the
+lengths and inverses of matrices, come from it, and its step ceiling stops
+a matrix that is not a group element.  An element is the identity exactly
+when its mask is 0, so the monoid's ``normalize`` walks down on masks alone.
 
 Both classes expose the same surface: ``gen_left``/``gen_right`` (cheap
 one-generator products), ``right_descents``/``left_descents`` and their
@@ -245,6 +245,11 @@ class _Element:
         return self.kernel.mask(self.data)
 
     @_cached
+    def inverse(self):
+        kern = self.kernel
+        return kern.element(kern.inverse(self.data))
+
+    @_cached
     def left_mask(self) -> int:
         return self.inverse.right_mask
 
@@ -324,10 +329,6 @@ class RootPermElement(_Element, namedtuple("RootPermElement", "graph perm rs")):
     @_cached
     def length(self) -> int:
         return self.rs.length(self.perm)
-
-    @_cached
-    def inverse(self) -> "RootPermElement":
-        return RootPermElement(self.graph, self.rs.inverse(self.perm), self.rs)
 
     def order(self, bound: int = DEFAULT_ORDER_BOUND) -> int:
         """Exact order: the action on roots is faithful, so this is the lcm
@@ -449,39 +450,10 @@ class MatrixElement(_Element, namedtuple("MatrixElement", "graph matrix")):
             mask &= mask - 1
         return False
 
-    def reduced_word(self, step_ceiling: int | None = None) -> tuple:
-        """Some reduced word for self, by peeling least right descents.
-
-        Raises if the walk does not reach the identity within the ceiling
-        (which for genuine group elements it always does, in length steps).
-        """
-        cached = self.__dict__.get("_rword")
-        if cached is not None:
-            return cached
-        ceiling = DEFAULT_STEP_CEILING if step_ceiling is None else step_ceiling
-        vertices = self.graph.vertices
-        cur, letters = self, []
-        for _ in range(ceiling + 1):
-            if cur.is_identity:
-                word = tuple(reversed(letters))
-                self.__dict__["_rword"] = word
-                return word
-            m = cur.right_mask
-            j = vertices[(m & -m).bit_length() - 1]
-            letters.append(j)
-            cur = cur.gen_right(j)
-        raise StepBudgetExceeded(f"descent walk exceeded {ceiling} steps")
-
-    @property
-    def length(self) -> int:
-        return len(self.reduced_word())
-
     @_cached
-    def inverse(self) -> "MatrixElement":
-        out = identity_element(self.graph, "matrix")
-        for v in reversed(self.reduced_word()):
-            out = out.gen_right(v)
-        return out
+    def length(self) -> int:
+        one = identity_element(self.graph, "matrix").matrix
+        return len(_peel(self.kernel, one, self.matrix))
 
     def order(self, bound: int = DEFAULT_ORDER_BOUND) -> int | None:
         """Smallest n >= 1 with w^n = 1, or None if none exists <= bound."""
@@ -507,6 +479,24 @@ class Kernel(namedtuple("Kernel", "mask rmul inverse element")):
     __slots__ = ()
 
 
+def _peel(kern: Kernel, one, data, ceiling: int = DEFAULT_STEP_CEILING) -> list:
+    """The vertex indices a1, ..., ak of the least right descents peeled off
+    ``data`` until it equals ``one``, the identity's data: w s_a1 ... s_ak = 1,
+    so k is the length of w and the letters spell a reduced word of w^{-1}.
+    Raises past ``ceiling`` steps, which a group element never reaches
+    before its length."""
+    mask, rmul = kern[:2]
+    letters = []
+    for _ in range(ceiling + 1):
+        if data == one:
+            return letters
+        m = mask(data)
+        a = (m & -m).bit_length() - 1
+        letters.append(a)
+        data = rmul[a](data)
+    raise StepBudgetExceeded(f"descent walk exceeded {ceiling} steps")
+
+
 @functools.lru_cache(maxsize=None)
 def kernel(g: CoxeterGraph, backend: str) -> Kernel:
     """The kernel of the ``backend`` ("perm" or "matrix") over g."""
@@ -521,9 +511,15 @@ def kernel(g: CoxeterGraph, backend: str) -> Kernel:
         def make(rows):
             return MatrixElement(g, rows)
 
+        def inverse(rows):
+            out = one = identity_element(g, "matrix").matrix
+            for a in _peel(kern, one, rows):
+                out = _matrix_rmul(g, out, a)
+            return out
+
         ops = (functools.partial(_matrix_mask, g),
                tuple(functools.partial(_matrix_rmul, g, a=a) for a in range(g.rank)),
-               lambda rows: make(rows).inverse.matrix)
+               inverse)
 
     def element(data, inv=None):
         w = make(data)
@@ -533,7 +529,8 @@ def kernel(g: CoxeterGraph, backend: str) -> Kernel:
             w.__dict__["inverse"] = make(inv)
         return w
 
-    return Kernel(*ops, element)
+    kern = Kernel(*ops, element)
+    return kern
 
 
 # -- public operations -----------------------------------------------------
@@ -603,17 +600,9 @@ def canonical_word(w) -> tuple:
     cached = w.__dict__.get("_canon")
     if cached is not None:
         return cached
-    mask, rmul = w.kernel[:2]
     vertices = w.graph.vertices
-    cur = w.inverse.data
-    letters = []
-    m = mask(cur)
-    while m:
-        a = (m & -m).bit_length() - 1
-        letters.append(vertices[a])
-        cur = rmul[a](cur)
-        m = mask(cur)
-    out = tuple(letters)
+    one = identity_element(w.graph, w.backend).data
+    out = tuple([vertices[a] for a in _peel(w.kernel, one, w.inverse.data)])
     w.__dict__["_canon"] = out
     return out
 
@@ -659,12 +648,12 @@ def is_compatible(g: CoxeterGraph, blocks) -> bool:
     test used throughout the admissibility machinery.
     """
     total = 0
-    w = identity_element(g)
+    w = one = identity_element(g)
     for block in blocks:
         r = longest_element(g, block)
         total += r.length
         w = w * r
     if isinstance(w, MatrixElement):
-        return len(w.reduced_word(step_ceiling=10 * (total + 1))) == total
+        return len(_peel(w.kernel, one.matrix, w.matrix, 10 * (total + 1))) == total
     return w.length == total
 

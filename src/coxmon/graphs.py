@@ -95,6 +95,7 @@ class CoxeterGraph(namedtuple("CoxeterGraph", "vertices matrix")):
         idx = {v: k for k, v in enumerate(verts)}
         n = len(verts)
         mat = [[1 if a == b else 2 for b in range(n)] for a in range(n)]
+        given = {}
         for i, j, m in edges:
             i, j = str(i), str(j)
             if i == j:
@@ -103,6 +104,9 @@ class CoxeterGraph(namedtuple("CoxeterGraph", "vertices matrix")):
                 raise ValueError(f"edge endpoint {i!r}/{j!r} not a vertex")
             if not (is_infinite(m) or (isinstance(m, int) and m >= 2)):
                 raise ValueError(f"bad label {m!r}")
+            pair = frozenset((i, j))
+            if given.setdefault(pair, m) != m:
+                raise ValueError(f"edge {i}-{j} is given two labels, {given[pair]} and {m}")
             mat[idx[i]][idx[j]] = m
             mat[idx[j]][idx[i]] = m
         return CoxeterGraph(verts, tuple(tuple(row) for row in mat))

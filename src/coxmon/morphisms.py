@@ -109,11 +109,10 @@ def build_morphism(
     verdict = check_admissible(p, bound)
     if not verdict.is_admissible:
         raise ValueError(f"partition is not admissible: {verdict.reason}")
-    # the verdict covers every pair, so unresolved non-spherical entries
-    # are infinite and the type is as resolved as it can get
+    # the verdict covers every pair, so the type may assume admissibility;
+    # it then writes the infinite label wherever pair_order finds no order
+    # within the bound, so every entry is set and the type graph exists
     ptype = partition_type(p, bound, assume_admissible=True)
-    if not ptype.is_resolved:
-        raise ValueError("partition type not resolved within the bound")
     return AdmissibleMorphism(g, p, verdict, ptype.graph())
 
 

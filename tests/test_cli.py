@@ -231,6 +231,44 @@ def test_count_options_are_validated(capsys, argv):
     assert f"argument {argv[-2]}:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["folding", "A3", "A2", "1:1,2:2,3:1,3:2"],
+    ["fixed-points", "A3", "1:3,1:1,3:3,2:2", "--length-bound", "3"],
+    ["orbits", "A3", "1:3,3:1,2:2,2:1"],
+])
+def test_vertex_map_refuses_two_images(capsys, argv):
+    # the last image used to win silently, so folding certified fibers and
+    # fixed-points a map that were never given
+    for json_flag in ([], ["--json"]):
+        code, out, err = run(capsys, *argv, *json_flag)
+        assert (code, out) == (3, "")
+        assert err.startswith("error: vertex ") and "given two images" in err
+    with pytest.raises(ValueError, match="vertex '3' is given two images, '1' and '2'"):
+        cli.parse_vertex_map("1:1,3:1,3:2")
+
+
+def test_vertex_map_accepts_a_repeated_pair(capsys):
+    assert cli.parse_vertex_map("1:3,1:3, 3 : 1,2:2") == {"1": "3", "3": "1", "2": "2"}
+    code, out, _ = run(capsys, "orbits", "A3", "1:3,1:3,3:1,2:2")
+    assert code == 0 and "1,3" in out
+
+
+@pytest.mark.parametrize("name, text", [
+    ("graph.txt", "edge 1 2 3\nedge 2 1 4\n"),
+    ("graph.json", '{"vertices": ["1", "2"], "edges": [{"i": "1", "j": "2", "m": 5},'
+                   ' {"i": "1", "j": "2", "m": 3}]}'),
+])
+def test_graph_files_refuse_a_pair_given_two_labels(capsys, tmp_path, name, text):
+    # the later label used to win: the text file read as I2(4), and the JSON
+    # file as A2, whose partition check-partition then certified
+    path = tmp_path / name
+    path.write_text(text)
+    for json_flag in ([], ["--json"]):
+        code, out, err = run(capsys, "check-partition", str(path), "1/2", *json_flag)
+        assert (code, out) == (3, "")
+        assert err.startswith("error: edge ") and "given two labels" in err
+
+
 def test_orbits(capsys):
     code, out, _ = run(capsys, "orbits", "D4")
     assert code == 0
@@ -531,9 +569,10 @@ def test_other_commands_exit_contract_on_generated_inputs(capsys, tmp_path):
 # before the report records and the CLI encoders were unified: every
 # subcommand in text and JSON, the exit 1, 2 and 3 cases, and each help
 # text at 80 columns.  The two --json runs that exhaust a budget were
-# re-recorded when such a run gained its "unknown" envelope, and the two
-# runs of ``type`` on a non-spherical block were added when that became an
-# input error
+# re-recorded when such a run gained its "unknown" envelope, the two runs
+# of ``type`` on a non-spherical block were added when that became an input
+# error, and the four runs of ``folding`` and ``fixed-points`` on a map that
+# gives one vertex two images were added when that became one
 GOLDEN = [
     ("check-partition A3 bipartite", 0, "5f7ef0b28b6261eb"),
     ("check-partition A3 bipartite --json", 0, "9dc280790a687b05"),
@@ -593,10 +632,14 @@ GOLDEN = [
     ("folding A3 I2(3) 1:1,3:1,2:2 --json", 1, "5033a7579b98fc7b"),
     ("folding I2(inf) A1 1:1,2:1", 3, "e3b0c44298fc1c14"),
     ("folding I2(inf) A1 1:1,2:1 --json", 3, "e3b0c44298fc1c14"),
+    ("folding A3 A2 1:1,2:2,3:1,3:2", 3, "e3b0c44298fc1c14"),
+    ("folding A3 A2 1:1,2:2,3:1,3:2 --json", 3, "e3b0c44298fc1c14"),
     ("fixed-points A3 1:3,3:1,2:2 --length-bound 6", 0, "9518fdd2dc1b63f1"),
     ("fixed-points A3 1:3,3:1,2:2 --length-bound 6 --json", 0, "83b1fa208b5d8f7b"),
     ("fixed-points A3 1:3,3:1,2:2 --length-bound 8 --budget 5", 2, "e3b0c44298fc1c14"),
     ("fixed-points A3 1:3,3:1,2:2 --length-bound 8 --budget 5 --json", 2, "12e40a46fadc58df"),
+    ("fixed-points A3 1:3,1:1,3:3,2:2 --length-bound 3", 3, "e3b0c44298fc1c14"),
+    ("fixed-points A3 1:3,1:1,3:3,2:2 --length-bound 3 --json", 3, "e3b0c44298fc1c14"),
     ("orbits D4", 0, "2cd94dc97871b862"),
     ("orbits D4 --json", 0, "ad8dd1112b03ba04"),
     ("orbits A3 1:3,3:1,2:2", 0, "a8e69a8f4d15a0b4"),

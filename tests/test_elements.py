@@ -24,7 +24,7 @@ from coxmon import (
     support,
 )
 from coxmon import elements
-from coxmon.elements import MatrixElement, _cos_rows, pick_backend
+from coxmon.elements import MatrixElement, StepBudgetExceeded, _cos_rows, pick_backend
 from coxmon.exact import ExactScalar, field_for_modulus, poly_divmod_monic, poly_mul
 from oracles import tits_oracle, word_reduce
 
@@ -460,3 +460,17 @@ def test_matrix_descents_refuse_non_group_matrices(column, refusal):
     top, bottom = (f.scalar(c) for c in column)
     with pytest.raises(ValueError, match=refusal):
         MatrixElement(g, ((top, f.one), (bottom, f.one))).right_mask
+
+
+def test_descent_walk_ceiling_stops_a_non_group_matrix():
+    # rows (1, 1), (0, 1) over I2(4): both columns are nonnegative, so the
+    # descent mask is 0, yet the matrix is not the identity (nor any group
+    # element); the walk stops only on the identity, so its step ceiling is
+    # what ends it, for the length, the inverse and the canonical word alike
+    g = named_graph("I2(4)")
+    f = field_for_modulus(g.modulus)
+    rows = ((f.one, f.one), (f.zero, f.one))
+    assert MatrixElement(g, rows).right_mask == 0
+    for measure in (lambda w: w.length, lambda w: w.inverse, canonical_word):
+        with pytest.raises(StepBudgetExceeded, match="descent walk exceeded 10000 steps"):
+            measure(MatrixElement(g, rows))

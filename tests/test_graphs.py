@@ -77,6 +77,22 @@ def test_construction_rejects_bad_labels():
         CoxeterGraph.from_edges("ab", [("a", "a", 3)])  # self-loop
 
 
+def test_construction_rejects_a_pair_given_two_labels():
+    # the later label used to win silently; an identical repeat, in either
+    # direction, still names one graph
+    a2 = CoxeterGraph.from_edges("ab", [("a", "b", 3)])
+    assert CoxeterGraph.from_edges("ab", [("a", "b", 3), ("b", "a", 3)]) == a2
+    for second in (4, 2, INFINITY):
+        for pair in (("a", "b"), ("b", "a")):
+            with pytest.raises(ValueError, match="edge .* is given two labels, 3 and"):
+                CoxeterGraph.from_edges("ab", [("a", "b", 3), (*pair, second)])
+    with pytest.raises(ValueError, match="two labels, 5 and 3"):
+        graph_from_json({"vertices": ["1", "2"], "edges": [
+            {"i": "1", "j": "2", "m": 5}, {"i": "2", "j": "1", "m": 3}]})
+    with pytest.raises(ValueError, match="two labels, 3 and inf"):
+        parse_graph("edge 1 2 3\nedge 2 1 inf\n")
+
+
 def test_label_text_roundtrip():
     assert label_to_text(INFINITY) == "inf"
     assert label_from_text("inf") == INFINITY
