@@ -228,8 +228,8 @@ def _mask_set(g: CoxeterGraph, mask: int) -> frozenset:
 
 
 class _Element:
-    """What both backends share: the raw data, the kernel, and the
-    descent sets derived from ``right_mask`` and the cached ``inverse``."""
+    """What both backends share: the raw data, the kernel, the inverse
+    (cached, built by the kernel) and the descent sets read off the masks."""
 
     __slots__ = ()
 
@@ -511,7 +511,7 @@ def kernel(g: CoxeterGraph, backend: str) -> Kernel:
         def make(rows):
             return MatrixElement(g, rows)
 
-        def inverse(rows):
+        def inverse_rows(rows):
             out = one = identity_element(g, "matrix").matrix
             for a in _peel(kern, one, rows):
                 out = _matrix_rmul(g, out, a)
@@ -519,7 +519,7 @@ def kernel(g: CoxeterGraph, backend: str) -> Kernel:
 
         ops = (functools.partial(_matrix_mask, g),
                tuple(functools.partial(_matrix_rmul, g, a=a) for a in range(g.rank)),
-               inverse)
+               inverse_rows)
 
     def element(data, inv=None):
         w = make(data)

@@ -237,8 +237,8 @@ def test_count_options_are_validated(capsys, argv):
     ["orbits", "A3", "1:3,3:1,2:2,2:1"],
 ])
 def test_vertex_map_refuses_two_images(capsys, argv):
-    # the last image used to win silently, so folding certified fibers and
-    # fixed-points a map that were never given
+    # a vertex with two images is an input error: keeping either image would
+    # certify fibers, or check a map, that were never given
     for json_flag in ([], ["--json"]):
         code, out, err = run(capsys, *argv, *json_flag)
         assert (code, out) == (3, "")
@@ -259,8 +259,8 @@ def test_vertex_map_accepts_a_repeated_pair(capsys):
                    ' {"i": "1", "j": "2", "m": 3}]}'),
 ])
 def test_graph_files_refuse_a_pair_given_two_labels(capsys, tmp_path, name, text):
-    # the later label used to win: the text file read as I2(4), and the JSON
-    # file as A2, whose partition check-partition then certified
+    # a pair with two labels is an input error: keeping either label would
+    # decide a partition of a graph that was never given
     path = tmp_path / name
     path.write_text(text)
     for json_flag in ([], ["--json"]):

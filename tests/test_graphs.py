@@ -78,8 +78,8 @@ def test_construction_rejects_bad_labels():
 
 
 def test_construction_rejects_a_pair_given_two_labels():
-    # the later label used to win silently; an identical repeat, in either
-    # direction, still names one graph
+    # two labels on one pair name no graph; an identical repeat, in either
+    # direction, still names one
     a2 = CoxeterGraph.from_edges("ab", [("a", "b", 3)])
     assert CoxeterGraph.from_edges("ab", [("a", "b", 3), ("b", "a", 3)]) == a2
     for second in (4, 2, INFINITY):
