@@ -44,11 +44,12 @@ mask of w is the right mask of w^{-1}, and ``right_descents`` /
 backend also offers three operations on raw element data (a permutation
 table, or matrix rows), gathered per graph in a ``Kernel``: the right
 descent mask, right multiplication by the generator at each vertex index,
-and the inverse.  One descent walk on a kernel, ``_peel``, peels least
-right descents until the data is the identity's; canonical words, and the
-lengths and inverses of matrices, come from it, and its step ceiling stops
-a matrix that is not a group element.  An element is the identity exactly
-when its mask is 0, so the monoid's ``normalize`` walks down on masks alone.
+and the inverse, beside the identity's data ``one``, which lives there
+alone.  One descent walk on a kernel, ``_peel``, peels least right descents
+until the data is ``one``; canonical words, and the lengths and inverses of
+matrices, come from it, and its step ceiling stops a matrix that is not a
+group element.  A group element is the identity exactly when its mask is 0,
+so the monoid's ``normalize`` walks down on masks alone.
 
 Both classes expose the same surface: ``gen_left``/``gen_right`` (cheap
 one-generator products), ``right_descents``/``left_descents`` and their
@@ -134,7 +135,7 @@ def root_system(g: CoxeterGraph) -> RootSystem:
     if not is_spherical(g):
         raise ValueError("root_system needs a spherical graph")
     rows = _cos_rows(g)
-    roots = list(identity_element(g, "matrix").matrix)  # the simple roots
+    roots = list(kernel(g, "matrix").one)  # the simple roots
     found = {v: k for k, v in enumerate(roots)}
     images = []  # images[k][a] = found index of s_a(root k); None for -a_a
     for k, vec in enumerate(roots):  # roots grows while it is scanned
@@ -430,7 +431,7 @@ class MatrixElement(_Element, namedtuple("MatrixElement", "graph matrix")):
 
     @property
     def is_identity(self) -> bool:
-        return self.matrix == identity_element(self.graph, "matrix").matrix
+        return self.matrix == self.kernel.one
 
     def has_right_descent_in(self, mask: int) -> bool:
         """One sign per masked column: the column of a group element is a
@@ -452,8 +453,7 @@ class MatrixElement(_Element, namedtuple("MatrixElement", "graph matrix")):
 
     @_cached
     def length(self) -> int:
-        one = identity_element(self.graph, "matrix").matrix
-        return len(_peel(self.kernel, one, self.matrix))
+        return len(_peel(self.kernel, self.matrix))
 
     def order(self, bound: int = DEFAULT_ORDER_BOUND) -> int | None:
         """Smallest n >= 1 with w^n = 1, or None if none exists <= bound."""
@@ -468,24 +468,25 @@ class MatrixElement(_Element, namedtuple("MatrixElement", "graph matrix")):
 # -- raw kernels -----------------------------------------------------------
 
 
-class Kernel(namedtuple("Kernel", "mask rmul inverse element")):
+class Kernel(namedtuple("Kernel", "mask rmul inverse element one")):
     """The raw operations of one backend over one graph, on element data:
     ``mask(data)`` is the right descent mask, ``rmul[a](data)`` the data of
     w * s_{vertices[a]} (one callable per vertex index: the root system's
     ``rmul``, or ``_matrix_rmul`` bound to the graph and a), ``inverse(data)``
     the data of w^{-1}, and ``element(data, inv=None)`` builds the element,
-    with its inverse cached when the data of the inverse is given."""
+    with its inverse cached when the data of the inverse is given.  ``one``
+    is the identity's data: the root system's table, or rows built once."""
 
     __slots__ = ()
 
 
-def _peel(kern: Kernel, one, data, ceiling: int = DEFAULT_STEP_CEILING) -> list:
+def _peel(kern: Kernel, data, ceiling: int = DEFAULT_STEP_CEILING) -> list:
     """The vertex indices a1, ..., ak of the least right descents peeled off
-    ``data`` until it equals ``one``, the identity's data: w s_a1 ... s_ak = 1,
+    ``data`` until it equals ``kern.one``, the identity's: w s_a1 ... s_ak = 1,
     so k is the length of w and the letters spell a reduced word of w^{-1}.
     Raises past ``ceiling`` steps, which a group element never reaches
     before its length."""
-    mask, rmul = kern[:2]
+    mask, rmul, one = kern.mask, kern.rmul, kern.one
     letters = []
     for _ in range(ceiling + 1):
         if data == one:
@@ -507,19 +508,23 @@ def kernel(g: CoxeterGraph, backend: str) -> Kernel:
             return RootPermElement(g, perm, rs)
 
         ops = (_perm_mask(rs), rs.rmul, rs.inverse)
+        one = rs.identity
     else:
         def make(rows):
             return MatrixElement(g, rows)
 
         def inverse_rows(rows):
-            out = one = identity_element(g, "matrix").matrix
-            for a in _peel(kern, one, rows):
+            out = one
+            for a in _peel(kern, rows):
                 out = _matrix_rmul(g, out, a)
             return out
 
         ops = (functools.partial(_matrix_mask, g),
                tuple(functools.partial(_matrix_rmul, g, a=a) for a in range(g.rank)),
                inverse_rows)
+        field = field_for_modulus(g.modulus)
+        one = tuple(tuple(field.one if r == c else field.zero for c in range(g.rank))
+                    for r in range(g.rank))
 
     def element(data, inv=None):
         w = make(data)
@@ -529,7 +534,7 @@ def kernel(g: CoxeterGraph, backend: str) -> Kernel:
             w.__dict__["inverse"] = make(inv)
         return w
 
-    kern = Kernel(*ops, element)
+    kern = Kernel(*ops, element, one)
     return kern
 
 
@@ -549,18 +554,11 @@ def pick_backend(g: CoxeterGraph, backend: str | None = None) -> str:
 @functools.lru_cache(maxsize=None)
 def identity_element(g: CoxeterGraph, backend: str | None = None):
     """The identity of W, as a permutation over a spherical graph and as a
-    matrix otherwise.  Every element built from it keeps its backend, so
-    the choice is made here once per graph; an explicit ``backend`` only
-    serves to compare the two routes."""
-    if pick_backend(g, backend) == "perm":
-        rs = root_system(g)
-        return RootPermElement(g, rs.identity, rs)
-    field = field_for_modulus(g.modulus)
-    n = g.rank
-    return MatrixElement(g, tuple(
-        tuple(field.one if r == c else field.zero for c in range(n))
-        for r in range(n)
-    ))
+    matrix otherwise: the element of the kernel's ``one``.  Every element
+    built from it keeps its backend, so the choice is made here once per
+    graph; an explicit ``backend`` only serves to compare the two routes."""
+    kern = kernel(g, pick_backend(g, backend))
+    return kern.element(kern.one)
 
 
 def element_from_word(g: CoxeterGraph, word):
@@ -595,14 +593,15 @@ def canonical_word(w) -> tuple:
     recursion.  Deterministic; used for serialization and hashing words.
 
     Walked on the inverse alone: the left descents of cur are the right
-    descents of cur^{-1}, s_i * cur has inverse cur^{-1} * s_i, and cur is
-    the identity exactly when cur^{-1} has no descent."""
+    descents of cur^{-1}, and s_i * cur has inverse cur^{-1} * s_i.  The
+    walk stops when the data of cur^{-1} equals the kernel's ``one``, not
+    when its mask is 0: a matrix with no descent that is no group element
+    is not taken for the identity, and runs into the step ceiling."""
     cached = w.__dict__.get("_canon")
     if cached is not None:
         return cached
     vertices = w.graph.vertices
-    one = identity_element(w.graph, w.backend).data
-    out = tuple([vertices[a] for a in _peel(w.kernel, one, w.inverse.data)])
+    out = tuple([vertices[a] for a in _peel(w.kernel, w.inverse.data)])
     w.__dict__["_canon"] = out
     return out
 
@@ -648,12 +647,12 @@ def is_compatible(g: CoxeterGraph, blocks) -> bool:
     test used throughout the admissibility machinery.
     """
     total = 0
-    w = one = identity_element(g)
+    w = identity_element(g)
     for block in blocks:
         r = longest_element(g, block)
         total += r.length
         w = w * r
     if isinstance(w, MatrixElement):
-        return len(_peel(w.kernel, one.matrix, w.matrix, 10 * (total + 1))) == total
+        return len(_peel(w.kernel, w.matrix, 10 * (total + 1))) == total
     return w.length == total
 

@@ -41,7 +41,6 @@ from .elements import (
     canonical_word,
     element_from_word,
     generator,
-    identity_element,
     longest_element,
 )
 from .graphs import CoxeterGraph, is_infinite, is_spherical
@@ -121,7 +120,7 @@ def normalize(g: CoxeterGraph, simples) -> PosBraid:
         return PosBraid(g, ())
     if any(f.graph != g for f in xs):  # rebuilt factors would take g's
         raise ValueError("factor over another graph")
-    mask, rmul, inverse, element = xs[0].kernel
+    mask, rmul, inverse, element = xs[0].kernel[:4]
     # factor k as raw data: fwd[k] of the element, inv[k] of its inverse,
     # either None while stale; xs[k] stays the input element until changed
     fwd = [f.data for f in xs]
@@ -224,12 +223,11 @@ def _head_meet(u, v):
     common left divisor in W, or None when it is trivial.  Common left
     descents are taken greedily on the raw data of the inverses, which is
     sound by the same cancellation argument as ``gcd``."""
-    mask, rmul, inverse, element = u.kernel
+    mask, rmul, inverse, element, m = u.kernel  # m starts as the identity
     ui, vi = u.inverse.data, v.inverse.data
     common = mask(ui) & mask(vi)
     if not common:
         return None
-    m = identity_element(u.graph, u.backend).data
     while common:
         a = (common & -common).bit_length() - 1
         m = rmul[a](m)

@@ -61,7 +61,7 @@ RECORDS = [
     (ExactScalar, "field coeffs", (F5, (1, -1))),
     (RootSystem, "n_positive simple_index action rmul identity translate inverse length",
      RS_FIELDS),
-    (Kernel, "mask rmul inverse element", tuple(kernel(G, "perm"))),
+    (Kernel, "mask rmul inverse element one", tuple(kernel(G, "perm"))),
     (RootPermElement, "graph perm rs", (G, S1.perm, RS)),
     (MatrixElement, "graph matrix", (G, identity_element(G, "matrix").matrix)),
     (PosBraid, "graph factors", (G, (S1,))),
