@@ -52,17 +52,20 @@ def label_to_text(m) -> str:
 
 class CoxeterGraph(namedtuple("CoxeterGraph", "vertices matrix")):
     """Immutable Coxeter graph with sorted string vertices: ``vertices``,
-    and ``matrix`` as a tuple of rows of labels (int, or INFINITY)."""
+    and ``matrix``, n x n, as a tuple of rows of labels (int, or INFINITY)."""
 
     def __new__(cls, vertices, matrix):
         order = tuple(sorted(vertices))
+        n = len(order)
+        if len(matrix) != n or any(len(row) != n for row in matrix):
+            raise ValueError(f"matrix must be {n}x{n}: one row and one entry per vertex")
+        matrix = tuple(map(tuple, matrix))
         if order != vertices:
             # canonicalize: permute matrix rows/columns to sorted order
             old = {v: k for k, v in enumerate(vertices)}
             matrix = tuple(tuple(matrix[old[u]][old[v]] for v in order) for u in order)
-        if len(set(order)) != len(order):
+        if len(set(order)) != n:
             raise ValueError("duplicate vertex identifiers")
-        n = len(order)
         for a in range(n):
             if matrix[a][a] != 1:
                 raise ValueError("diagonal entries must be 1")

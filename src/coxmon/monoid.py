@@ -167,9 +167,13 @@ def braid_from_word(g: CoxeterGraph, letters) -> PosBraid:
     return normalize(g, [generator(g, v) for v in letters])
 
 
+def _same_graph(x: PosBraid, y: PosBraid) -> None:
+    if x.graph != y.graph:  # each operation reads both through x's graph
+        raise ValueError("braids over different graphs")
+
+
 def multiply(x: PosBraid, y: PosBraid) -> PosBraid:
-    if x.graph != y.graph:
-        raise ValueError("product of braids over different graphs")
+    _same_graph(x, y)
     return normalize(x.graph, x.factors + y.factors)
 
 
@@ -198,6 +202,7 @@ def _quotient_left(d: PosBraid, x: PosBraid) -> PosBraid | None:
 
 def divides(d: PosBraid, x: PosBraid, side: str = "left") -> bool:
     """Whether d divides x on the given side."""
+    _same_graph(d, x)
     if side == "right":
         return divides(braid_reverse(d), braid_reverse(x), "left")
     if side != "left":
@@ -208,6 +213,7 @@ def divides(d: PosBraid, x: PosBraid, side: str = "left") -> bool:
 def cancel(d: PosBraid, x: PosBraid, side: str = "left") -> PosBraid:
     """The quotient with d removed from the given side; ValueError if d
     does not divide x there."""
+    _same_graph(d, x)
     if side == "right":
         return braid_reverse(cancel(braid_reverse(d), braid_reverse(x), "left"))
     if side != "left":
@@ -245,6 +251,7 @@ def gcd(x: PosBraid, y: PosBraid, side: str = "left") -> PosBraid:
     factors; when it is trivial so is the gcd, since a nontrivial divisor
     starts with some atom, and an atom that divides x divides x_1.
     """
+    _same_graph(x, y)
     if side == "right":
         return braid_reverse(gcd(braid_reverse(x), braid_reverse(y), "left"))
     if side != "left":
@@ -350,6 +357,7 @@ def lcm(
     Raises StepBudgetExceeded if reversing does not settle in the budget
     (default: ``default_step_bound(graph)``).
     """
+    _same_graph(x, y)
     if side == "left":
         r = lcm(braid_reverse(x), braid_reverse(y), "right", step_bound)
         return None if r is None else braid_reverse(r)

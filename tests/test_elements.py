@@ -24,7 +24,14 @@ from coxmon import (
     support,
 )
 from coxmon import elements
-from coxmon.elements import MatrixElement, StepBudgetExceeded, _cos_rows, pick_backend
+from coxmon.elements import (
+    MatrixElement,
+    StepBudgetExceeded,
+    _cos_rows,
+    _peel,
+    kernel,
+    pick_backend,
+)
 from coxmon.exact import ExactScalar, field_for_modulus, poly_divmod_monic, poly_mul
 from oracles import tits_oracle, word_reduce
 
@@ -474,3 +481,15 @@ def test_descent_walk_ceiling_stops_a_non_group_matrix():
     for measure in (lambda w: w.length, lambda w: w.inverse, canonical_word):
         with pytest.raises(StepBudgetExceeded, match="descent walk exceeded 10000 steps"):
             measure(MatrixElement(g, rows))
+
+
+@pytest.mark.parametrize("name, backend", [("A3", "perm"), ("A3", "matrix"),
+                                           ("Atilde3", "matrix")])
+def test_kernel_holds_the_identity(name, backend):
+    # the identity's data lives in the kernel: the identity element wraps
+    # it, and the descent walk from it peels nothing
+    g = named_graph(name)
+    kern = kernel(g, backend)
+    assert kern.one == identity_element(g, backend).data
+    assert _peel(kern, kern.one) == []
+    assert identity_element(g) == identity_element(g, pick_backend(g))

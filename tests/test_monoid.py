@@ -302,3 +302,19 @@ def test_products_over_different_graphs_are_refused():
         multiply(x, y)
     with pytest.raises(ValueError):
         x.factors[0] * y.factors[0]
+
+
+def test_monoid_operations_refuse_braids_over_two_graphs():
+    # h has A3's vertices and, like A3, 6 positive roots: read through A3's
+    # kernel, y's root tables give a wrong gcd rather than an error, and the
+    # identity braid of h would pass for a divisor and a multiple of x
+    h = CoxeterGraph.from_edges("123", [("2", "3", 5)])
+    x = braid_from_word(named_graph("A3"), "121")
+    y, e = braid_from_word(h, "232"), braid_identity(h)
+    for op in (gcd, lcm, divides, cancel):
+        for side in ("left", "right"):
+            for u, v in ((x, y), (y, x), (x, e), (e, x)):
+                with pytest.raises(ValueError, match="different graphs"):
+                    op(u, v, side)
+    with pytest.raises(ValueError, match="different graphs"):
+        irreducible_fraction(x, y)

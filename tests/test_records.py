@@ -18,7 +18,7 @@ from coxmon.elements import (
     root_system,
 )
 from coxmon.exact import CosField, ExactScalar, field_for_modulus
-from coxmon.graphs import CoxeterGraph, SphericalType
+from coxmon.graphs import CoxeterGraph, SphericalType, is_spherical
 from coxmon.monoid import FractionPair, PosBraid
 from coxmon.morphisms import (
     AdmissibleMorphism,
@@ -160,6 +160,9 @@ def test_exact_scalars_are_not_ordered():
     lambda: CoxeterGraph(("1", "2"), ((1, 3), (3, 2))),
     lambda: CoxeterGraph(("1", "2"), ((1, 3), (4, 1))),
     lambda: CoxeterGraph(("1", "2"), ((1, 1), (1, 1))),
+    lambda: CoxeterGraph(("1", "2"), ((1, 3),)),
+    lambda: CoxeterGraph(("1",), ((1, 3),)),
+    lambda: CoxeterGraph(("1", "2"), ((1, 3, 2), (3, 1, 2))),
     lambda: SphericalType("Z", 3),
     lambda: SphericalType("", 3),
     lambda: PosBraid(G, (element_from_word(named_graph("A3"), ["1"]),)),
@@ -178,3 +181,9 @@ def test_exact_scalars_are_not_ordered():
 def test_records_refuse_bad_fields(build):
     with pytest.raises(ValueError):
         build()
+
+
+def test_graph_stores_a_list_matrix_as_tuples():
+    g = CoxeterGraph(("1", "2"), [[1, 3], [3, 1]])
+    assert g == named_graph("A2") and g.matrix == ((1, 3), (3, 1))
+    assert is_spherical(g)
