@@ -41,11 +41,13 @@ Descent sets are int bitmasks over the vertex index (bit a for
 ``graph.vertices[a]``, so the least set bit is the least vertex); the left
 mask of w is the right mask of w^{-1}, and ``right_descents`` /
 ``left_descents`` are the same sets as frozensets of vertex names.  Each
-backend also offers three operations on raw element data (a permutation
-table, or matrix rows), gathered per graph in a ``Kernel``: the right
-descent mask, right multiplication by the generator at each vertex index,
-and the inverse, beside the identity's data ``one``, which lives there
-alone.  One descent walk on a kernel, ``_peel``, peels least right descents
+backend also offers operations on raw element data (a permutation table,
+or matrix rows), gathered per graph in a ``Kernel``: the right descent
+mask, right multiplication by the generator at each vertex index, the
+inverse, and ``fuse``, the product of two elements whose lengths add,
+beside the identity's data ``one``, which lives there alone.  Only the
+permutation kernels fuse, where the test is cheaper than the letter moves
+it saves.  One descent walk on a kernel, ``_peel``, peels least right descents
 until the data is ``one``; canonical words, and the lengths and inverses of
 matrices, come from it, and its step ceiling stops a matrix that is not a
 group element.  A group element is the identity exactly when its mask is 0,
@@ -287,6 +289,40 @@ def _perm_mask(rs: RootSystem):
     return mask
 
 
+def _perm_fuse(rs: RootSystem):
+    """The kernel's ``fuse`` on permutations.  Lengths add exactly when
+    every positive root that v sends to a negative root stays negative
+    under uv: such a root b leaves the inversions of uv exactly when u
+    sends -v(b) to a negative root, and l(uv) = l(u) + l(v) minus twice the
+    number of those.  On a byte table, v's images of the positive roots
+    lose the positive ones, go through u, lose the negative ones, and must
+    leave nothing, all in C.  On tuple tables that is a Python loop, so
+    only a generator v = s_a is fused, found by its images of the simple
+    roots, and one root decides it: l(u s_a) = l(u) + 1 exactly when u
+    sends the simple root a_a to a positive root."""
+    P = rs.n_positive
+    if isinstance(rs.identity, bytes):
+        positive, negative = bytes(range(P)), bytes(range(P, 256))
+
+        def fuse(u, v):
+            if v[:P].translate(u, positive).translate(None, negative):
+                return None
+            return v.translate(u)
+
+        return fuse
+    simple_images = itemgetter(*rs.simple_index)  # these determine the element
+    gens = {simple_images(row): (r, rmul)
+            for row, r, rmul in zip(rs.action, rs.simple_index, rs.rmul)}
+
+    def fuse(u, v):
+        gen = gens.get(simple_images(v))
+        if gen is None or u[gen[0]] >= P:
+            return None
+        return gen[1](u)
+
+    return fuse
+
+
 class RootPermElement(_Element, namedtuple("RootPermElement", "graph perm rs")):
     """An element as a permutation of the roots.  Equality, hash and repr
     read only ``graph`` and ``perm``: ``rs`` is the graph's RootSystem."""
@@ -453,7 +489,13 @@ class MatrixElement(_Element, namedtuple("MatrixElement", "graph matrix")):
 
     @_cached
     def length(self) -> int:
-        return len(_peel(self.kernel, self.matrix))
+        """The first letter comes off the cached mask, which the ascent of a
+        longest element has already read; ``_peel`` walks the rest."""
+        kern = self.kernel
+        if self.matrix == kern.one:
+            return 0
+        m = self.right_mask
+        return 1 + len(_peel(kern, kern.rmul[(m & -m).bit_length() - 1](self.matrix)))
 
     def order(self, bound: int = DEFAULT_ORDER_BOUND) -> int | None:
         """Smallest n >= 1 with w^n = 1, or None if none exists <= bound."""
@@ -468,14 +510,17 @@ class MatrixElement(_Element, namedtuple("MatrixElement", "graph matrix")):
 # -- raw kernels -----------------------------------------------------------
 
 
-class Kernel(namedtuple("Kernel", "mask rmul inverse element one")):
+class Kernel(namedtuple("Kernel", "mask rmul inverse element one fuse")):
     """The raw operations of one backend over one graph, on element data:
     ``mask(data)`` is the right descent mask, ``rmul[a](data)`` the data of
     w * s_{vertices[a]} (one callable per vertex index: the root system's
     ``rmul``, or ``_matrix_rmul`` bound to the graph and a), ``inverse(data)``
     the data of w^{-1}, and ``element(data, inv=None)`` builds the element,
     with its inverse cached when the data of the inverse is given.  ``one``
-    is the identity's data: the root system's table, or rows built once."""
+    is the identity's data: the root system's table, or rows built once.
+    ``fuse(u, v)`` is the data of u * v when l(uv) = l(u) + l(v), and None
+    otherwise or when the test would cost more than it saves: always on
+    matrices, and on tuple tables unless v is a generator."""
 
     __slots__ = ()
 
@@ -509,6 +554,7 @@ def kernel(g: CoxeterGraph, backend: str) -> Kernel:
 
         ops = (_perm_mask(rs), rs.rmul, rs.inverse)
         one = rs.identity
+        fuse = _perm_fuse(rs)
     else:
         def make(rows):
             return MatrixElement(g, rows)
@@ -526,6 +572,9 @@ def kernel(g: CoxeterGraph, backend: str) -> Kernel:
         one = tuple(tuple(field.one if r == c else field.zero for c in range(g.rank))
                     for r in range(g.rank))
 
+        def fuse(u, v):  # a matrix length is a whole walk: never worth it
+            return None
+
     def element(data, inv=None):
         w = make(data)
         if inv is not None:
@@ -534,7 +583,7 @@ def kernel(g: CoxeterGraph, backend: str) -> Kernel:
             w.__dict__["inverse"] = make(inv)
         return w
 
-    kern = Kernel(*ops, element, one)
+    kern = Kernel(*ops, element, one, fuse)
     return kern
 
 

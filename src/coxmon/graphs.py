@@ -55,6 +55,8 @@ class CoxeterGraph(namedtuple("CoxeterGraph", "vertices matrix")):
     and ``matrix``, n x n, as a tuple of rows of labels (int, or INFINITY)."""
 
     def __new__(cls, vertices, matrix):
+        if not all(isinstance(v, str) for v in vertices):
+            raise ValueError("vertices must be strings")
         order = tuple(sorted(vertices))
         n = len(order)
         if len(matrix) != n or any(len(row) != n for row in matrix):
@@ -67,7 +69,7 @@ class CoxeterGraph(namedtuple("CoxeterGraph", "vertices matrix")):
         if len(set(order)) != n:
             raise ValueError("duplicate vertex identifiers")
         for a in range(n):
-            if matrix[a][a] != 1:
+            if type(matrix[a][a]) is not int or matrix[a][a] != 1:
                 raise ValueError("diagonal entries must be 1")
             for b in range(a + 1, n):
                 m = matrix[a][b]

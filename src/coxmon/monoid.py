@@ -4,20 +4,22 @@ Elements are stored *only* in left-greedy normal form: a tuple of
 nontrivial simples (W elements of length equal to their word length) such
 that consecutive factors (u, v) satisfy  left_descents(v) subset-of
 right_descents(u) — nothing more can be pulled from v into u.  The
-``normalize`` factory restores this invariant by local letter bubbling,
-exactly the move that strictly shifts length toward the front, so it
-terminates.  It runs on raw element data through the backend's kernel
-(see ``coxmon.elements``): u is held as itself and v as v^{-1}, since the
-left descents of v are the right descents of v^{-1}; moving the letter i
-from v into u right-multiplies both u and v^{-1} by s_i, and only right
-descent masks are read.  Element objects are built for the final factors
-alone.
+``normalize`` factory restores this invariant in two steps.  First, one
+left-to-right pass fuses each factor whole into its left neighbour when
+l(uv) = l(u) + l(v): such a product is a single simple, and its lift is
+the product of the lifts.  Then local letter bubbling, exactly the move
+that strictly shifts length toward the front, so it terminates.  Both run
+on raw element data through the backend's kernel (see ``coxmon.elements``):
+in the bubbling u is held as itself and v as v^{-1}, since the left
+descents of v are the right descents of v^{-1}; moving the letter i from v
+into u right-multiplies both u and v^{-1} by s_i, and only right descent
+masks are read.  Element objects are built for the final factors alone.
 
 The simples form a Garside family (Dehornoy-Digne-Michel, J. Algebra 380,
 2013): a simple s left-divides x iff it left-divides the first factor x_1,
 which in W reads l(s^{-1} x_1) = l(x_1) - l(s).  So division goes one
 normal-form factor of the divisor at a time, with one ``normalize`` of the
-quotient per factor.  Left gcds strip the meet of the two first factors
+quotient per factor but the last, whose quotient only ``cancel`` builds.  Left gcds strip the meet of the two first factors
 (common left descents taken greedily in W) from both sides until that meet
 is trivial; right lcms come from word reversing with the dihedral
 complement  i \\ j = alternating word of length m_{ij} - 1 starting with j
@@ -114,16 +116,30 @@ def lift(w) -> PosBraid:
 
 
 def normalize(g: CoxeterGraph, simples) -> PosBraid:
-    """Left-greedy normal form of a product of simples (W elements)."""
+    """Left-greedy normal form of a product of simples (W elements).
+
+    One left-to-right pass first fuses each factor whole into its left
+    neighbour when their lengths add (the kernel's ``fuse``), since such a
+    product is a single simple; letters then bubble on the shorter list."""
+    simples = tuple(simples)
+    if any(f.graph != g for f in simples):  # rebuilt factors would take g's
+        raise ValueError("factor over another graph")
     xs = [f for f in simples if not f.is_identity]
     if not xs:
         return PosBraid(g, ())
-    if any(f.graph != g for f in xs):  # rebuilt factors would take g's
-        raise ValueError("factor over another graph")
-    mask, rmul, inverse, element = xs[0].kernel[:4]
+    mask, rmul, inverse, element, _, fuse = xs[0].kernel
     # factor k as raw data: fwd[k] of the element, inv[k] of its inverse,
     # either None while stale; xs[k] stays the input element until changed
-    fwd = [f.data for f in xs]
+    fwd = [xs[0].data]
+    kept = [xs[0]]
+    for f in xs[1:]:
+        uv = fuse(fwd[-1], f.data)
+        if uv is None:
+            fwd.append(f.data)
+            kept.append(f)
+        else:
+            fwd[-1], kept[-1] = uv, None
+    xs = kept
     inv = [None] * len(xs)
     changed = True
     while changed:
@@ -187,15 +203,19 @@ def braid_reverse(x: PosBraid) -> PosBraid:
 # -- divisibility ----------------------------------------------------------
 
 
-def _quotient_left(d: PosBraid, x: PosBraid) -> PosBraid | None:
-    """d^{-1} x if d divides x on the left, else None."""
-    for s in d.factors:
+def _quotient_left(d: PosBraid, x: PosBraid, quotient: bool = True):
+    """d^{-1} x if d divides x on the left, else None; with ``quotient``
+    false, True in place of d^{-1} x, whose last ``normalize`` is skipped."""
+    last = len(d.factors) - 1
+    for k, s in enumerate(d.factors):
         if not x.factors:
             return None
         head = x.factors[0]
         q = s.inverse * head
         if q.length != head.length - s.length:
             return None
+        if k == last and not quotient:
+            return True
         x = normalize(x.graph, (q,) + x.factors[1:])
     return x
 
@@ -207,7 +227,7 @@ def divides(d: PosBraid, x: PosBraid, side: str = "left") -> bool:
         return divides(braid_reverse(d), braid_reverse(x), "left")
     if side != "left":
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    return _quotient_left(d, x) is not None
+    return _quotient_left(d, x, quotient=False) is not None
 
 
 def cancel(d: PosBraid, x: PosBraid, side: str = "left") -> PosBraid:
@@ -229,7 +249,7 @@ def _head_meet(u, v):
     common left divisor in W, or None when it is trivial.  Common left
     descents are taken greedily on the raw data of the inverses, which is
     sound by the same cancellation argument as ``gcd``."""
-    mask, rmul, inverse, element, m = u.kernel  # m starts as the identity
+    mask, rmul, inverse, element, m = u.kernel[:5]  # m starts as the identity
     ui, vi = u.inverse.data, v.inverse.data
     common = mask(ui) & mask(vi)
     if not common:

@@ -15,6 +15,8 @@ from coxmon import (
     cancel,
     divides,
     gcd,
+    generator,
+    identity_element,
     irreducible_fraction,
     lcm,
     lcm_atoms,
@@ -23,7 +25,7 @@ from coxmon import (
     multiply,
     named_graph,
 )
-from coxmon.monoid import reverse_complement
+from coxmon.monoid import normalize, reverse_complement
 from oracles import (
     canon,
     elements_up_to,
@@ -318,3 +320,15 @@ def test_monoid_operations_refuse_braids_over_two_graphs():
                     op(u, v, side)
     with pytest.raises(ValueError, match="different graphs"):
         irreducible_fraction(x, y)
+
+
+def test_normalize_refuses_an_identity_factor_over_another_graph():
+    # identity factors are dropped from the product, but only after the
+    # graph of every input is checked, as PosBraid checks its factors
+    a3, b3 = named_graph("A3"), named_graph("B3")
+    for simples in ([identity_element(b3)], [generator(a3, "1"), identity_element(b3)],
+                    [identity_element(b3), generator(a3, "1")]):
+        with pytest.raises(ValueError, match="factor over another graph"):
+            normalize(a3, simples)
+    with pytest.raises(ValueError, match="factor over another graph"):
+        PosBraid(a3, (identity_element(b3),))

@@ -9,7 +9,9 @@ common atoms one by one, and the right lcm takes its complement from the
 rescan-from-the-start reversing of ``oracles``.  Production ``normalize`` runs on raw element data
 and divides one simple factor at a time, so agreement between the two is a
 check of the new kernel.  A second test checks the descent masks of every
-element of B3 and H3, on both backends, against lengths.
+element of B3 and H3, on both backends, against lengths.  The last tests
+feed ``normalize`` chunks of reduced words, so that it fuses neighbours
+whole, and ``divides`` divisors whose last factor alone decides the answer.
 """
 
 import random
@@ -18,10 +20,12 @@ import pytest
 
 from coxmon import (
     CoxeterGraph,
+    PosBraid,
     StepBudgetExceeded,
     braid_from_word,
     cancel,
     divides,
+    element_from_word,
     gcd,
     generator,
     identity_element,
@@ -216,3 +220,95 @@ def test_masks_are_the_descent_sets_on_both_backends(name, order):
                 assert mask < 1 << g.rank
         assert canonical_word(m) == canonical_word(w)
         assert m.length == w.length == len(word)
+
+
+# -- whole-factor fusion and the short divisibility test ----------------------
+
+
+FUSE_GRAPHS = {name: named_graph(name) for name in
+               ("A3", "B3", "H3", "D4", "E6", "E8", "I2(129)", "A16", "I2(inf)")}
+FUSE_GRAPHS["Atilde2"] = ATILDE2
+BYTE_TABLES = ("A3", "B3", "H3", "D4", "E6", "E8")
+TUPLE_TABLES = ("I2(129)", "A16")
+
+
+def _reduced_word(g, rng, n):
+    """A seeded reduced word of length n: each letter is an ascent."""
+    w, word = identity_element(g), []
+    for _ in range(n):
+        free = [v for v in g.vertices if v not in w.right_descents]
+        if not free:
+            break
+        v = rng.choice(free)
+        w = w.gen_right(v)
+        word.append(v)
+    return word
+
+
+def _chunked_simples(g, rng, max_len):
+    """A few seeded reduced words, each cut into random chunks: neighbours
+    inside a word have additive lengths, neighbours across words need not."""
+    simples = []
+    for _ in range(rng.randint(1, 3)):
+        word = _reduced_word(g, rng, rng.randint(0, max_len))
+        while word:
+            k = rng.randint(1, len(word))
+            simples.append(element_from_word(g, word[:k]))
+            word = word[k:]
+    return simples
+
+
+@pytest.mark.parametrize("name", list(FUSE_GRAPHS))
+def test_fuse_is_the_length_additive_product(name):
+    g = FUSE_GRAPHS[name]
+    fuse = identity_element(g).kernel.fuse
+    rng = random.Random(sum(map(ord, name)))
+    fused = 0
+    for _ in range(60):
+        u = element_from_word(g, _reduced_word(g, rng, rng.randint(0, 8)))
+        v = element_from_word(g, _reduced_word(g, rng, rng.choice((1, rng.randint(0, 8)))))
+        uv = u * v
+        additive = uv.length == u.length + v.length
+        got = fuse(u.data, v.data)
+        if name in BYTE_TABLES or (name in TUPLE_TABLES and v.length == 1):
+            assert (got is not None) == additive, (name, u, v)
+        elif name not in TUPLE_TABLES:  # the matrix kernel never fuses
+            assert got is None
+        if got is not None:
+            assert additive and got == uv.data, (name, u, v)
+            fused += 1
+    assert fused or name not in BYTE_TABLES + TUPLE_TABLES
+
+
+@pytest.mark.parametrize("name", list(FUSE_GRAPHS))
+def test_normalize_of_chunked_simples_matches_the_letter_route(name):
+    g = FUSE_GRAPHS[name]
+    rng = random.Random(sum(map(ord, name)) + 1)
+    max_len = 8 if name in ("I2(inf)", "Atilde2") else 14
+    for _ in range(25):
+        simples = _chunked_simples(g, rng, max_len)
+        x = normalize(g, simples)
+        assert x.factors == ref_normalize(simples), name
+        assert normalize(g, x.factors[::-1]).factors == ref_normalize(x.factors[::-1])
+
+
+@pytest.mark.parametrize("name", list(FUSE_GRAPHS))
+def test_divides_stops_at_the_last_length_test(name):
+    # divisors of two or more factors whose every factor but the last
+    # divides: the answer is that of the last factor's length test; a
+    # prefix of x divides it, and a prefix with letters added may not
+    g = FUSE_GRAPHS[name]
+    rng = random.Random(sum(map(ord, name)) + 2)
+    found = {True: 0, False: 0}
+    for _ in range(40):
+        x = braid_from_word(g, _words(g, rng, 1, 12)[0])
+        word = x.word()
+        k = rng.randint(0, len(word))
+        for extra in ((), _words(g, rng, 1, 3)[0]):
+            d = braid_from_word(g, word[:k] + extra)
+            if len(d.factors) < 2 or not divides(PosBraid(g, d.factors[:-1]), x):
+                continue
+            want = ref_quotient_left(d.factors, x.factors) is not None
+            assert divides(d, x) == want, (name, d, x)
+            found[want] += 1
+    assert found[False] >= 3 and found[True] >= 1, found

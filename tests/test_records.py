@@ -61,7 +61,7 @@ RECORDS = [
     (ExactScalar, "field coeffs", (F5, (1, -1))),
     (RootSystem, "n_positive simple_index action rmul identity translate inverse length",
      RS_FIELDS),
-    (Kernel, "mask rmul inverse element one", tuple(kernel(G, "perm"))),
+    (Kernel, "mask rmul inverse element one fuse", tuple(kernel(G, "perm"))),
     (RootPermElement, "graph perm rs", (G, S1.perm, RS)),
     (MatrixElement, "graph matrix", (G, identity_element(G, "matrix").matrix)),
     (PosBraid, "graph factors", (G, (S1,))),
@@ -163,6 +163,10 @@ def test_exact_scalars_are_not_ordered():
     lambda: CoxeterGraph(("1", "2"), ((1, 3),)),
     lambda: CoxeterGraph(("1",), ((1, 3),)),
     lambda: CoxeterGraph(("1", "2"), ((1, 3, 2), (3, 1, 2))),
+    lambda: CoxeterGraph((1, 2), ((1, 3), (3, 1))),
+    lambda: CoxeterGraph(("1", 2), ((1, 3), (3, 1))),
+    lambda: CoxeterGraph(("1", "2"), ((True, 3), (3, 1))),
+    lambda: CoxeterGraph(("1", "2"), ((1, 3), (3, 1.0))),
     lambda: SphericalType("Z", 3),
     lambda: SphericalType("", 3),
     lambda: PosBraid(G, (element_from_word(named_graph("A3"), ["1"]),)),
