@@ -45,12 +45,12 @@ backend also offers operations on raw element data (a permutation table,
 or matrix rows), gathered per graph in a ``Kernel``: the right descent
 mask, right multiplication by the generator at each vertex index, the
 inverse, and ``fuse``, the product of two elements whose lengths add,
-beside the identity's data ``one``, which lives there alone.  Only the
-permutation kernels fuse, where the test is cheaper than the letter moves
-it saves.  One descent walk on a kernel, ``_peel``, peels least right descents
-until the data is ``one``; canonical words, and the lengths and inverses of
-matrices, come from it, and its step ceiling stops a matrix that is not a
-group element.  A group element is the identity exactly when its mask is 0,
+beside the identity's data ``one``, which lives there alone.  Only byte
+tables fuse, where the test runs in C and is cheaper than the letter moves
+it saves; elsewhere ``fuse`` is None.  One descent walk on a kernel,
+``_peel``, peels least right descents until the data is ``one``; canonical
+words, and the lengths and inverses of matrices, come from it, and its
+step ceiling stops a matrix that is not a group element.  A group element is the identity exactly when its mask is 0,
 so the monoid's ``normalize`` walks down on masks alone.
 
 Both classes expose the same surface: ``gen_left``/``gen_right`` (cheap
@@ -296,29 +296,17 @@ def _perm_fuse(rs: RootSystem):
     sends -v(b) to a negative root, and l(uv) = l(u) + l(v) minus twice the
     number of those.  On a byte table, v's images of the positive roots
     lose the positive ones, go through u, lose the negative ones, and must
-    leave nothing, all in C.  On tuple tables that is a Python loop, so
-    only a generator v = s_a is fused, found by its images of the simple
-    roots, and one root decides it: l(u s_a) = l(u) + 1 exactly when u
-    sends the simple root a_a to a positive root."""
+    leave nothing, all in C.  On tuple tables that test is a Python loop,
+    so they get no ``fuse``: None."""
     P = rs.n_positive
-    if isinstance(rs.identity, bytes):
-        positive, negative = bytes(range(P)), bytes(range(P, 256))
-
-        def fuse(u, v):
-            if v[:P].translate(u, positive).translate(None, negative):
-                return None
-            return v.translate(u)
-
-        return fuse
-    simple_images = itemgetter(*rs.simple_index)  # these determine the element
-    gens = {simple_images(row): (r, rmul)
-            for row, r, rmul in zip(rs.action, rs.simple_index, rs.rmul)}
+    if not isinstance(rs.identity, bytes):
+        return None
+    positive, negative = bytes(range(P)), bytes(range(P, 256))
 
     def fuse(u, v):
-        gen = gens.get(simple_images(v))
-        if gen is None or u[gen[0]] >= P:
+        if v[:P].translate(u, positive).translate(None, negative):
             return None
-        return gen[1](u)
+        return v.translate(u)
 
     return fuse
 
@@ -489,13 +477,9 @@ class MatrixElement(_Element, namedtuple("MatrixElement", "graph matrix")):
 
     @_cached
     def length(self) -> int:
-        """The first letter comes off the cached mask, which the ascent of a
-        longest element has already read; ``_peel`` walks the rest."""
-        kern = self.kernel
-        if self.matrix == kern.one:
-            return 0
-        m = self.right_mask
-        return 1 + len(_peel(kern, kern.rmul[(m & -m).bit_length() - 1](self.matrix)))
+        """The walk starts from the cached mask, which the ascent of a
+        longest element has already read."""
+        return len(_peel(self.kernel, self.matrix, m=self.right_mask))
 
     def order(self, bound: int = DEFAULT_ORDER_BOUND) -> int | None:
         """Smallest n >= 1 with w^n = 1, or None if none exists <= bound."""
@@ -519,16 +503,17 @@ class Kernel(namedtuple("Kernel", "mask rmul inverse element one fuse")):
     with its inverse cached when the data of the inverse is given.  ``one``
     is the identity's data: the root system's table, or rows built once.
     ``fuse(u, v)`` is the data of u * v when l(uv) = l(u) + l(v), and None
-    otherwise or when the test would cost more than it saves: always on
-    matrices, and on tuple tables unless v is a generator."""
+    otherwise; ``fuse`` itself is None where that test costs more than the
+    letter moves it saves: on tuple tables and matrices."""
 
     __slots__ = ()
 
 
-def _peel(kern: Kernel, data, ceiling: int = DEFAULT_STEP_CEILING) -> list:
+def _peel(kern: Kernel, data, ceiling: int = DEFAULT_STEP_CEILING, m=None) -> list:
     """The vertex indices a1, ..., ak of the least right descents peeled off
     ``data`` until it equals ``kern.one``, the identity's: w s_a1 ... s_ak = 1,
     so k is the length of w and the letters spell a reduced word of w^{-1}.
+    ``m``, when given, is the right descent mask of ``data``, already known.
     Raises past ``ceiling`` steps, which a group element never reaches
     before its length."""
     mask, rmul, one = kern.mask, kern.rmul, kern.one
@@ -536,10 +521,12 @@ def _peel(kern: Kernel, data, ceiling: int = DEFAULT_STEP_CEILING) -> list:
     for _ in range(ceiling + 1):
         if data == one:
             return letters
-        m = mask(data)
+        if m is None:
+            m = mask(data)
         a = (m & -m).bit_length() - 1
         letters.append(a)
         data = rmul[a](data)
+        m = None
     raise StepBudgetExceeded(f"descent walk exceeded {ceiling} steps")
 
 
@@ -572,8 +559,7 @@ def kernel(g: CoxeterGraph, backend: str) -> Kernel:
         one = tuple(tuple(field.one if r == c else field.zero for c in range(g.rank))
                     for r in range(g.rank))
 
-        def fuse(u, v):  # a matrix length is a whole walk: never worth it
-            return None
+        fuse = None  # a matrix length is a whole walk
 
     def element(data, inv=None):
         w = make(data)

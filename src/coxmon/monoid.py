@@ -4,11 +4,12 @@ Elements are stored *only* in left-greedy normal form: a tuple of
 nontrivial simples (W elements of length equal to their word length) such
 that consecutive factors (u, v) satisfy  left_descents(v) subset-of
 right_descents(u) — nothing more can be pulled from v into u.  The
-``normalize`` factory restores this invariant in two steps.  First, one
-left-to-right pass fuses each factor whole into its left neighbour when
-l(uv) = l(u) + l(v): such a product is a single simple, and its lift is
-the product of the lifts.  Then local letter bubbling, exactly the move
-that strictly shifts length toward the front, so it terminates.  Both run
+``normalize`` factory restores this invariant in two steps.  First, where
+the kernel has a ``fuse`` (byte tables), one left-to-right pass fuses each
+factor whole into its left neighbour when l(uv) = l(u) + l(v): such a
+product is a single simple, and its lift is the product of the lifts.
+Then local letter bubbling, exactly the move that strictly shifts length
+toward the front, so it terminates.  Both run
 on raw element data through the backend's kernel (see ``coxmon.elements``):
 in the bubbling u is held as itself and v as v^{-1}, since the left
 descents of v are the right descents of v^{-1}; moving the letter i from v
@@ -118,9 +119,10 @@ def lift(w) -> PosBraid:
 def normalize(g: CoxeterGraph, simples) -> PosBraid:
     """Left-greedy normal form of a product of simples (W elements).
 
-    One left-to-right pass first fuses each factor whole into its left
-    neighbour when their lengths add (the kernel's ``fuse``), since such a
-    product is a single simple; letters then bubble on the shorter list."""
+    Where the kernel has a ``fuse``, one left-to-right pass first fuses
+    each factor whole into its left neighbour when their lengths add, since
+    such a product is a single simple; letters then bubble on the shorter
+    list."""
     simples = tuple(simples)
     if any(f.graph != g for f in simples):  # rebuilt factors would take g's
         raise ValueError("factor over another graph")
@@ -130,16 +132,19 @@ def normalize(g: CoxeterGraph, simples) -> PosBraid:
     mask, rmul, inverse, element, _, fuse = xs[0].kernel
     # factor k as raw data: fwd[k] of the element, inv[k] of its inverse,
     # either None while stale; xs[k] stays the input element until changed
-    fwd = [xs[0].data]
-    kept = [xs[0]]
-    for f in xs[1:]:
-        uv = fuse(fwd[-1], f.data)
-        if uv is None:
-            fwd.append(f.data)
-            kept.append(f)
-        else:
-            fwd[-1], kept[-1] = uv, None
-    xs = kept
+    if fuse is None:  # the kernel never fuses: letters only
+        fwd = [f.data for f in xs]
+    else:
+        fwd = [xs[0].data]
+        kept = [xs[0]]
+        for f in xs[1:]:
+            uv = fuse(fwd[-1], f.data)
+            if uv is None:
+                fwd.append(f.data)
+                kept.append(f)
+            else:
+                fwd[-1], kept[-1] = uv, None
+        xs = kept
     inv = [None] * len(xs)
     changed = True
     while changed:
