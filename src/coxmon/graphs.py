@@ -165,17 +165,18 @@ class CoxeterGraph(namedtuple("CoxeterGraph", "vertices matrix")):
         return n
 
     def restrict(self, subset) -> "CoxeterGraph":
-        """Full labelled subgraph on the given vertices."""
+        """Full labelled subgraph on the given vertices (ValueError for any
+        other), built from this graph's checked entries with no re-check."""
         sub = tuple(sorted(set(subset)))
         for v in sub:
             if v not in self._index:
                 raise ValueError(f"{v!r} is not a vertex")
-        return CoxeterGraph(
+        return CoxeterGraph._make((
             sub,
             tuple(
                 tuple(self.m(u, v) for v in sub) for u in sub
             ),
-        )
+        ))
 
     def components(self) -> list:
         """Connected components (edges = labels >= 3), each a sorted tuple,

@@ -9,29 +9,27 @@ the kernel has a ``fuse`` (byte tables), one left-to-right pass fuses each
 factor whole into its left neighbour when l(uv) = l(u) + l(v): such a
 product is a single simple, and its lift is the product of the lifts.
 Then local letter bubbling, exactly the move that strictly shifts length
-toward the front, so it terminates.  Both run
-on raw element data through the backend's kernel (see ``coxmon.elements``):
-in the bubbling u is held as itself and v as v^{-1}, since the left
-descents of v are the right descents of v^{-1}; moving the letter i from v
-into u right-multiplies both u and v^{-1} by s_i, and only right descent
-masks are read.  Element objects are built for the final factors alone.
+toward the front, so it terminates.  Both run on raw element data through
+the backend's kernel (see ``coxmon.elements``): in the bubbling u is held
+as itself and v as v^{-1}, since the left descents of v are the right
+descents of v^{-1}; moving the letter i from v into u right-multiplies
+both u and v^{-1} by s_i, and only right descent masks are read.  Element
+objects are built for the final factors alone, and the braid skips the
+checks of ``PosBraid(...)``, left to outside input: see ``normalize``.
 
 The simples form a Garside family (Dehornoy-Digne-Michel, J. Algebra 380,
 2013): a simple s left-divides x iff it left-divides the first factor x_1,
 which in W reads l(s^{-1} x_1) = l(x_1) - l(s).  So division goes one
 normal-form factor of the divisor at a time, with one ``normalize`` of the
-quotient per factor but the last, whose quotient only ``cancel`` builds.  Left gcds strip the meet of the two first factors
-(common left descents taken greedily in W) from both sides until that meet
-is trivial; right lcms come from word reversing with the dihedral
-complement  i \\ j = alternating word of length m_{ij} - 1 starting with j
-(an infinite label certifies that no common multiple exists).  Reversing
-rewrites the leftmost negative-positive pair first; the part of the word
-left of that pair is settled, positive letters then negative ones, so the
-word is held as two stacks of vertex indices (settled negatives, unread
-letters) beside the settled positives, and each step pops one letter from
-each stack and pushes their rewrite, read from a table built once per
-graph.  Right-handed variants of everything go through the reversal
-antiautomorphism rev(s_{i1} ... s_{ik}) = s_{ik} ... s_{i1}.
+quotient per factor but the last, whose quotient only ``cancel`` builds.
+Left gcds strip the meet of the two first factors (common left descents
+taken greedily in W) from both sides until that meet is trivial; right
+lcms come from word reversing with the dihedral complement  i \\ j =
+alternating word of length m_{ij} - 1 starting with j (an infinite label
+certifies that no common multiple exists), run on two stacks of vertex
+indices (see ``reverse_complement``).  Right-handed variants of
+everything go through the reversal antiautomorphism
+rev(s_{i1} ... s_{ik}) = s_{ik} ... s_{i1}.
 """
 
 from __future__ import annotations
@@ -65,11 +63,13 @@ def default_step_bound(g: CoxeterGraph) -> int:
 
 
 class PosBraid(namedtuple("PosBraid", "graph factors")):
-    """An element of B+ in left-greedy normal form."""
+    """An element of B+ in left-greedy normal form, checked by ``PosBraid(...)``
+    for outside input; ``normalize`` and ``lift`` build theirs by ``_make``."""
 
     __slots__ = ()
 
     def __new__(cls, graph, factors):
+        factors = tuple(factors)
         for f in factors:
             if f.graph != graph:
                 raise ValueError("factor over another graph")
@@ -106,29 +106,29 @@ class PosBraid(namedtuple("PosBraid", "graph factors")):
 
 
 def braid_identity(g: CoxeterGraph) -> PosBraid:
-    return PosBraid(g, ())
+    return PosBraid._make((g, ()))
 
 
 def lift(w) -> PosBraid:
     """The simple braid with image w (one normal-form factor)."""
     if w.is_identity:
-        return PosBraid(w.graph, ())
-    return PosBraid(w.graph, (w,))
+        return PosBraid._make((w.graph, ()))
+    return PosBraid._make((w.graph, (w,)))
 
 
 def normalize(g: CoxeterGraph, simples) -> PosBraid:
     """Left-greedy normal form of a product of simples (W elements).
 
-    Where the kernel has a ``fuse``, one left-to-right pass first fuses
-    each factor whole into its left neighbour when their lengths add, since
-    such a product is a single simple; letters then bubble on the shorter
-    list."""
+    Neighbours whose lengths add are first fused whole, where the kernel
+    has a ``fuse``; letters then bubble until a pass finds every neighbour
+    pair left-greedy.  With every input's graph checked and every trivial
+    factor gone, that is ``PosBraid``'s test, so the result skips it."""
     simples = tuple(simples)
     if any(f.graph != g for f in simples):  # rebuilt factors would take g's
         raise ValueError("factor over another graph")
     xs = [f for f in simples if not f.is_identity]
     if not xs:
-        return PosBraid(g, ())
+        return PosBraid._make((g, ()))
     mask, rmul, inverse, element, _, fuse = xs[0].kernel
     # factor k as raw data: fwd[k] of the element, inv[k] of its inverse,
     # either None while stale; xs[k] stays the input element until changed
@@ -181,7 +181,7 @@ def normalize(g: CoxeterGraph, simples) -> PosBraid:
         if f is None:
             f = element(inverse(ui) if u is None else u, ui)
         factors.append(f)
-    return PosBraid(g, tuple(factors))
+    return PosBraid._make((g, tuple(factors)))
 
 
 def braid_from_word(g: CoxeterGraph, letters) -> PosBraid:
@@ -329,7 +329,7 @@ def reverse_complement(g: CoxeterGraph, u, v, step_bound: int | None = None):
     alternating word of length m_{ab} - 1 beginning with b (empty if
     a = b).  When no negative-positive pair remains, the word reads
     (u\\v)(v\\u)^{-1}.  Raises StepBudgetExceeded after step_bound steps
-    (default: ``default_step_bound(g)``).
+    (default: ``default_step_bound(g)``), ValueError on a non-vertex letter.
 
     Left of the leftmost negative-positive pair the word is settled:
     positive letters, then negative ones.  A rewrite at position k keeps
@@ -349,8 +349,11 @@ def reverse_complement(g: CoxeterGraph, u, v, step_bound: int | None = None):
     index = g._index
     push = _push_table(g)
     pos = []
-    neg = [index[a] for a in reversed(tuple(u))]
-    rest = [index[b] for b in reversed(tuple(v))]
+    try:
+        neg = [index[a] for a in reversed(tuple(u))]
+        rest = [index[b] for b in reversed(tuple(v))]
+    except KeyError as e:
+        raise ValueError(f"{e.args[0]!r} is not a vertex") from None
     steps = 0
     while rest:
         b = rest.pop()

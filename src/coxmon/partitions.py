@@ -90,6 +90,7 @@ class BlockPartition(namedtuple("BlockPartition", "graph blocks names")):
     __slots__ = ()
 
     def __new__(cls, graph, blocks, names):
+        blocks, names = tuple(map(tuple, blocks)), tuple(names)
         if len(blocks) != len(names):
             raise ValueError("one name per block")
         seen = set()

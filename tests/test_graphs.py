@@ -1,5 +1,6 @@
 import gc
 import math
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -233,6 +234,19 @@ def test_restrict_preserves_labels():
     sub = g.restrict(("2", "3"))
     assert sub.m("2", "3") == 4
     assert classify_spherical(sub)[0].family == "B"
+    # restrict builds its graph without the constructor's checks: the
+    # checking constructor must accept the same fields, with the same hash
+    graphs = [named_graph(n) for n in ("F4", "H4", "E8", "D6", "I2(inf)", "Atilde3")]
+    graphs.append(CoxeterGraph.from_edges("12345", [("1", "2", INFINITY), ("2", "3", 4),
+                                                    ("3", "1", 3), ("4", "5", INFINITY)]))
+    rng = random.Random(3)
+    for g in graphs:
+        for _ in range(12):
+            h = g.restrict(rng.sample(g.vertices, rng.randint(0, g.rank)))
+            assert h == CoxeterGraph(h.vertices, h.matrix), h
+            assert hash(h) == hash(CoxeterGraph(h.vertices, h.matrix)), h
+        with pytest.raises(ValueError, match="is not a vertex"):
+            g.restrict(g.vertices[:1] + ("9",))
 
 
 # small random graphs: vertex names "1".."n", labels from a small pool

@@ -297,6 +297,13 @@ def test_reversing_matches_the_rescanning_loop():
                     reverse_complement(g, u, v, n - 1)
 
 
+def test_reversing_refuses_a_letter_that_is_not_a_vertex():
+    a3 = named_graph("A3")
+    for u, v, bad in ((["9"], ["1"], "9"), (["1"], ["2", "x"], "x"), ("1", "12 ", " ")):
+        with pytest.raises(ValueError, match=f"{bad!r} is not a vertex"):
+            reverse_complement(a3, u, v)
+
+
 def test_products_over_different_graphs_are_refused():
     x = braid_from_word(named_graph("A3"), "12")
     y = braid_from_word(named_graph("B3"), "12")

@@ -30,6 +30,7 @@ from coxmon import (
     generator,
     identity_element,
     lcm,
+    lift,
     named_graph,
 )
 from coxmon.elements import canonical_word
@@ -131,6 +132,14 @@ def ref_lcm(g, x, y, side):
 # -- the comparison ---------------------------------------------------------
 
 
+def _rechecked(b):
+    """b, once the checking constructor has accepted its fields as they
+    are: the library builds its braids without those checks."""
+    if b is not None:
+        assert b == PosBraid(b.graph, b.factors), b
+    return b
+
+
 ATILDE2 = CoxeterGraph.from_edges("123", [("1", "2", 3), ("2", "3", 3), ("1", "3", 3)])
 GRAPHS = {name: named_graph(name) for name in ("A3", "B3", "H3", "D4", "E6", "I2(inf)")}
 GRAPHS["Atilde2"] = ATILDE2
@@ -149,33 +158,36 @@ def test_factor_level_ops_match_the_letter_level_routes(name):
     rng = random.Random(sum(map(ord, name)))
     words = _words(g, rng, 40, 9)
     for w in words:
-        x = braid_from_word(g, w)
+        x = _rechecked(braid_from_word(g, w))
         assert x.factors == ref_normalize([generator(g, v) for v in w]), w
         # normalize of an unnormalized product of simples
-        assert normalize(g, x.factors[::-1]).factors == ref_normalize(x.factors[::-1])
+        assert _rechecked(normalize(g, x.factors[::-1])).factors == ref_normalize(
+            x.factors[::-1])
+        for f in (identity_element(g),) + x.factors:
+            assert _rechecked(lift(f)).factors == ref_normalize([f])
     pairs = [(rng.choice(words), rng.choice(words)) for _ in range(30)]
     # divisors that do divide: a prefix and a suffix of the other word
     for w in words[:16]:
         k = rng.randint(0, len(w))
         pairs += [(w[:k], w), (w[k:], w)]
     for u, v in pairs:
-        x, y = braid_from_word(g, u), braid_from_word(g, v)
+        x, y = _rechecked(braid_from_word(g, u)), _rechecked(braid_from_word(g, v))
         for side in ("left", "right"):
             want_q, want_gcd = ref_ops(g, x.factors, y.factors, side)
             assert divides(x, y, side) == (want_q is not None), (u, v, side)
             if want_q is not None:
-                assert cancel(x, y, side).factors == want_q, (u, v, side)
+                assert _rechecked(cancel(x, y, side)).factors == want_q, (u, v, side)
             else:
                 with pytest.raises(ValueError):
                     cancel(x, y, side)
-            assert gcd(x, y, side).factors == want_gcd, (u, v, side)
+            assert _rechecked(gcd(x, y, side)).factors == want_gcd, (u, v, side)
             try:
                 want_lcm = ref_lcm(g, x.factors, y.factors, side)
             except StepBudgetExceeded:
                 with pytest.raises(StepBudgetExceeded):
                     lcm(x, y, side, STEP_BOUND)
                 continue
-            got = lcm(x, y, side, STEP_BOUND)
+            got = _rechecked(lcm(x, y, side, STEP_BOUND))
             assert (None if got is None else got.factors) == want_lcm, (u, v, side)
 
 
@@ -286,9 +298,12 @@ def test_normalize_of_chunked_simples_matches_the_letter_route(name):
     max_len = 8 if name in ("I2(inf)", "Atilde2") else 14
     for _ in range(25):
         simples = _chunked_simples(g, rng, max_len)
-        x = normalize(g, simples)
+        x = _rechecked(normalize(g, simples))
         assert x.factors == ref_normalize(simples), name
-        assert normalize(g, x.factors[::-1]).factors == ref_normalize(x.factors[::-1])
+        assert _rechecked(normalize(g, x.factors[::-1])).factors == ref_normalize(
+            x.factors[::-1])
+        for f in simples:
+            assert _rechecked(lift(f)).factors == ref_normalize([f])
 
 
 @pytest.mark.parametrize("name", list(FUSE_GRAPHS))

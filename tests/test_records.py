@@ -191,3 +191,15 @@ def test_graph_stores_a_list_matrix_as_tuples():
     g = CoxeterGraph(("1", "2"), [[1, 3], [3, 1]])
     assert g == named_graph("A2") and g.matrix == ((1, 3), (3, 1))
     assert is_spherical(g)
+
+
+def test_braid_and_partition_store_lists_as_tuples():
+    x = PosBraid(G, [S1])
+    assert x == PosBraid(G, (S1,)) == braid_from_word(G, ["1"]) and x.factors == (S1,)
+    assert hash(x) == hash(PosBraid(G, (S1,)))
+    assert x * x == braid_from_word(G, ["1", "1"])
+    for blocks in ([("1",), ("2",)], [["1"], ["2"]]):
+        p = BlockPartition(G, blocks, ["1", "2"])
+        assert p == BlockPartition(G, (("1",), ("2",)), ("1", "2"))
+        assert p.blocks == (("1",), ("2",)) and p.names == ("1", "2")
+        assert hash(p) == hash(BlockPartition(G, (("1",), ("2",)), ("1", "2")))
