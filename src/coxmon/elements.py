@@ -20,19 +20,18 @@ a_j + 2 cos(pi/m_{ij}) a_i for j != i, and a_i to -a_i.
 
 * Any graph: ``MatrixElement`` stores the representation matrix with
   ExactScalar entries; column j holds the coordinates of w(a_j).  A product
-  reads only what its right factor holds, from a table of its columns
-  built once per element: a column whose one nonzero entry is 1 or -1 (row
-  k) copies or negates column k of the left factor, as most columns of a
+  reads only what its right factor holds, from a table of its columns built
+  once per element: a column whose one nonzero entry is 1 or -1 (row k)
+  copies or negates column k of the left factor, as most columns of a
   longest element r_B do (r_B sends a_j to -a_sigma(j) for j in B), and
-  every other entry sums the unreduced polynomial products of a row with
-  the column's nonzero entries, as trimmed coefficient tuples, and is
-  reduced mod Psi_N once (``CosField.dot``); ``gen_left`` builds its new
-  row the same way.  A generator is a descent exactly when its column is
-  nonpositive.  ``right_mask`` reads the sign of every entry, so it also
-  refuses a zero or mixed-sign column, which no group element has;
-  ``has_right_descent_in`` asks only whether some vertex of a mask is a
-  descent, and reads one sign per masked column, that of its first
-  nonzero entry, which decides the column of a group element.
+  every other entry sums the unreduced polynomial products of a row with the
+  column's nonzero entries, as trimmed coefficient tuples, and is reduced
+  mod Psi_N once (``CosField.dot``).  A generator is a descent exactly when
+  its column is nonpositive.  ``right_mask`` reads the sign of every entry,
+  so it also refuses a zero or mixed-sign column, which no group element
+  has; ``has_right_descent_in`` asks only whether some vertex of a mask is a
+  descent, and reads one sign per masked column, that of its first nonzero
+  entry, which decides the column of a group element.
 
 The longest element r_J of a spherical parabolic is built once per graph and
 set J, and shared by every caller.
@@ -50,14 +49,15 @@ tables fuse, where the test runs in C and is cheaper than the letter moves
 it saves; elsewhere ``fuse`` is None.  One descent walk on a kernel,
 ``_peel``, peels least right descents until the data is ``one``; canonical
 words, and the lengths and inverses of matrices, come from it, and its
-step ceiling stops a matrix that is not a group element.  A group element is the identity exactly when its mask is 0,
-so the monoid's ``normalize`` walks down on masks alone.
+step ceiling stops a matrix that is not a group element.  A group element
+is the identity exactly when its mask is 0, so the monoid's ``normalize``
+walks down on masks alone.
 
-Both classes expose the same surface: ``gen_left``/``gen_right`` (cheap
-one-generator products), ``right_descents``/``left_descents`` and their
-masks, ``length``, ``inverse``, ``is_identity``, ``order``.  Products use
-the convention (u * v)(x) = u(v(x)), matching words read left to right: the
-element of the word (i1, ..., ik) is s_{i1} * ... * s_{ik}.
+Both classes expose the same surface: ``gen_left``/``gen_right``,
+``right_descents``/``left_descents`` and their masks, ``length``,
+``inverse``, ``is_identity``, ``order``.  Products use the convention
+(u * v)(x) = u(v(x)), matching words read left to right: the element of
+the word (i1, ..., ik) is s_{i1} * ... * s_{ik}.
 """
 
 from __future__ import annotations
@@ -336,12 +336,12 @@ class RootPermElement(_Element, namedtuple("RootPermElement", "graph perm rs")):
     def __mul__(self, other: "RootPermElement") -> "RootPermElement":
         if other.graph != self.graph:
             raise ValueError("product of elements over different graphs")
+        if other.backend != self.backend:
+            raise ValueError(f"product of a {self.backend} and a {other.backend} element")
         return RootPermElement(self.graph, self.rs.translate(other.perm, self.perm), self.rs)
 
     def gen_left(self, v: str) -> "RootPermElement":
-        rs = self.rs
-        row = rs.action[self.graph._index[v]]
-        return RootPermElement(self.graph, rs.translate(self.perm, row), rs)
+        return identity_element(self.graph, self.backend).gen_right(v) * self
 
     def gen_right(self, v: str) -> "RootPermElement":
         rmul = self.rs.rmul[self.graph._index[v]]
@@ -428,6 +428,8 @@ class MatrixElement(_Element, namedtuple("MatrixElement", "graph matrix")):
     def __mul__(self, other: "MatrixElement") -> "MatrixElement":
         if other.graph != self.graph:
             raise ValueError("product of elements over different graphs")
+        if other.backend != self.backend:
+            raise ValueError(f"product of a {self.backend} and a {other.backend} element")
         dot = field_for_modulus(self.graph.modulus).dot
         cols = other._columns
         out = []
@@ -440,14 +442,8 @@ class MatrixElement(_Element, namedtuple("MatrixElement", "graph matrix")):
         return MatrixElement(self.graph, tuple(out))
 
     def gen_left(self, v: str) -> "MatrixElement":
-        """s_v * self: only row a changes, to -row a plus cos(a,k) row k."""
-        a = self.graph._index[v]
-        dot = field_for_modulus(self.graph.modulus).dot
-        terms = (((-1,), a), *((x.coeffs, k) for k, x in _cos_rows(self.graph)[a]))
-        mat = self.matrix
-        new_row = tuple([dot([(x, y.coeffs) for x, k in terms if (y := mat[k][c])])
-                         for c in range(self.graph.rank)])
-        return MatrixElement(self.graph, mat[:a] + (new_row,) + mat[a + 1:])
+        """s_v * self, as a full product."""
+        return identity_element(self.graph, self.backend).gen_right(v) * self
 
     def gen_right(self, v: str) -> "MatrixElement":
         return MatrixElement(self.graph,
@@ -477,9 +473,8 @@ class MatrixElement(_Element, namedtuple("MatrixElement", "graph matrix")):
 
     @_cached
     def length(self) -> int:
-        """The walk starts from the cached mask, which the ascent of a
-        longest element has already read."""
-        return len(_peel(self.kernel, self.matrix, m=self.right_mask))
+        """The number of steps of the descent walk down to the identity."""
+        return len(_peel(self.kernel, self.matrix))
 
     def order(self, bound: int = DEFAULT_ORDER_BOUND) -> int | None:
         """Smallest n >= 1 with w^n = 1, or None if none exists <= bound."""
@@ -509,11 +504,10 @@ class Kernel(namedtuple("Kernel", "mask rmul inverse element one fuse")):
     __slots__ = ()
 
 
-def _peel(kern: Kernel, data, ceiling: int = DEFAULT_STEP_CEILING, m=None) -> list:
+def _peel(kern: Kernel, data, ceiling: int = DEFAULT_STEP_CEILING) -> list:
     """The vertex indices a1, ..., ak of the least right descents peeled off
     ``data`` until it equals ``kern.one``, the identity's: w s_a1 ... s_ak = 1,
     so k is the length of w and the letters spell a reduced word of w^{-1}.
-    ``m``, when given, is the right descent mask of ``data``, already known.
     Raises past ``ceiling`` steps, which a group element never reaches
     before its length."""
     mask, rmul, one = kern.mask, kern.rmul, kern.one
@@ -521,12 +515,10 @@ def _peel(kern: Kernel, data, ceiling: int = DEFAULT_STEP_CEILING, m=None) -> li
     for _ in range(ceiling + 1):
         if data == one:
             return letters
-        if m is None:
-            m = mask(data)
+        m = mask(data)
         a = (m & -m).bit_length() - 1
         letters.append(a)
         data = rmul[a](data)
-        m = None
     raise StepBudgetExceeded(f"descent walk exceeded {ceiling} steps")
 
 

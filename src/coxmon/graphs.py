@@ -50,9 +50,20 @@ def label_to_text(m) -> str:
     return "inf" if is_infinite(m) else str(m)
 
 
+def _checked_replace(self, /, **changes):
+    """The namedtuple's ``_replace``, built through the class so that its
+    checks run: the inherited one builds by ``_make``, left to checked code."""
+    out = type(self)(*map(changes.pop, self._fields, self))
+    if changes:
+        raise ValueError(f"Got unexpected field names: {list(changes)!r}")
+    return out
+
+
 class CoxeterGraph(namedtuple("CoxeterGraph", "vertices matrix")):
     """Immutable Coxeter graph with sorted string vertices: ``vertices``,
     and ``matrix``, n x n, as a tuple of rows of labels (int, or INFINITY)."""
+
+    _replace = _checked_replace
 
     def __new__(cls, vertices, matrix):
         if not all(isinstance(v, str) for v in vertices):
@@ -319,6 +330,7 @@ class SphericalType(namedtuple("SphericalType", "family param")):
     """
 
     __slots__ = ()
+    _replace = _checked_replace
 
     def __new__(cls, family, param):
         if family not in ("A", "B", "D", "E", "F", "H", "I"):

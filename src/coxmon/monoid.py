@@ -44,7 +44,7 @@ from .elements import (
     generator,
     longest_element,
 )
-from .graphs import CoxeterGraph, is_infinite, is_spherical
+from .graphs import CoxeterGraph, _checked_replace, is_infinite, is_spherical
 
 DEFAULT_STEP_BOUND = 10_000
 SPHERICAL_STEP_BOUND = 2_000_000
@@ -67,12 +67,15 @@ class PosBraid(namedtuple("PosBraid", "graph factors")):
     for outside input; ``normalize`` and ``lift`` build theirs by ``_make``."""
 
     __slots__ = ()
+    _replace = _checked_replace
 
     def __new__(cls, graph, factors):
         factors = tuple(factors)
         for f in factors:
             if f.graph != graph:
                 raise ValueError("factor over another graph")
+            if f.backend != factors[0].backend:
+                raise ValueError(f"factors of two backends, {factors[0].backend} and {f.backend}")
             if f.is_identity:
                 raise ValueError("trivial factor in normal form")
         for u, v in zip(factors, factors[1:]):
@@ -124,8 +127,11 @@ def normalize(g: CoxeterGraph, simples) -> PosBraid:
     pair left-greedy.  With every input's graph checked and every trivial
     factor gone, that is ``PosBraid``'s test, so the result skips it."""
     simples = tuple(simples)
-    if any(f.graph != g for f in simples):  # rebuilt factors would take g's
-        raise ValueError("factor over another graph")
+    for f in simples:
+        if f.graph != g:  # rebuilt factors would take g's
+            raise ValueError("factor over another graph")
+        if f.backend != simples[0].backend:  # all are read through one kernel
+            raise ValueError(f"factors of two backends, {simples[0].backend} and {f.backend}")
     xs = [f for f in simples if not f.is_identity]
     if not xs:
         return PosBraid._make((g, ()))
@@ -188,13 +194,16 @@ def braid_from_word(g: CoxeterGraph, letters) -> PosBraid:
     return normalize(g, [generator(g, v) for v in letters])
 
 
-def _same_graph(x: PosBraid, y: PosBraid) -> None:
-    if x.graph != y.graph:  # each operation reads both through x's graph
+def _same_kernel(x: PosBraid, y: PosBraid) -> None:
+    if x.graph != y.graph:  # each operation reads both through x's kernel
         raise ValueError("braids over different graphs")
+    u, v = x.factors[:1], y.factors[:1]
+    if u and v and u[0].backend != v[0].backend:
+        raise ValueError(f"factors of two backends, {u[0].backend} and {v[0].backend}")
 
 
 def multiply(x: PosBraid, y: PosBraid) -> PosBraid:
-    _same_graph(x, y)
+    _same_kernel(x, y)
     return normalize(x.graph, x.factors + y.factors)
 
 
@@ -227,7 +236,7 @@ def _quotient_left(d: PosBraid, x: PosBraid, quotient: bool = True):
 
 def divides(d: PosBraid, x: PosBraid, side: str = "left") -> bool:
     """Whether d divides x on the given side."""
-    _same_graph(d, x)
+    _same_kernel(d, x)
     if side == "right":
         return divides(braid_reverse(d), braid_reverse(x), "left")
     if side != "left":
@@ -238,7 +247,7 @@ def divides(d: PosBraid, x: PosBraid, side: str = "left") -> bool:
 def cancel(d: PosBraid, x: PosBraid, side: str = "left") -> PosBraid:
     """The quotient with d removed from the given side; ValueError if d
     does not divide x there."""
-    _same_graph(d, x)
+    _same_kernel(d, x)
     if side == "right":
         return braid_reverse(cancel(braid_reverse(d), braid_reverse(x), "left"))
     if side != "left":
@@ -276,7 +285,7 @@ def gcd(x: PosBraid, y: PosBraid, side: str = "left") -> PosBraid:
     factors; when it is trivial so is the gcd, since a nontrivial divisor
     starts with some atom, and an atom that divides x divides x_1.
     """
-    _same_graph(x, y)
+    _same_kernel(x, y)
     if side == "right":
         return braid_reverse(gcd(braid_reverse(x), braid_reverse(y), "left"))
     if side != "left":
@@ -385,7 +394,7 @@ def lcm(
     Raises StepBudgetExceeded if reversing does not settle in the budget
     (default: ``default_step_bound(graph)``).
     """
-    _same_graph(x, y)
+    _same_kernel(x, y)
     if side == "left":
         r = lcm(braid_reverse(x), braid_reverse(y), "right", step_bound)
         return None if r is None else braid_reverse(r)

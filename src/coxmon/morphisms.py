@@ -153,13 +153,14 @@ def _tally(name: str, outcomes: list) -> Check:
                  f"{passed}/{len(outcomes)}")
 
 
-def _random_source_elements(m: AdmissibleMorphism, rng, count, max_len):
-    out = []
-    verts = m.source.vertices
-    while len(out) < count:
-        k = rng.randint(0, max_len)
-        out.append(braid_from_word(m.source, [rng.choice(verts) for _ in range(k)]))
-    return out
+def _sample_pairs(m: AdmissibleMorphism, count, max_len, seed):
+    """xs, ys, fxs, fys: ``count`` source braids xs, then ``count`` ys, each of
+    a seeded random word of up to ``max_len`` letters, and their images."""
+    rng, verts = random.Random(seed), m.source.vertices
+    words = [[rng.choice(verts) for _ in range(rng.randint(0, max_len))] for _ in range(2 * count)]
+    braids = [braid_from_word(m.source, w) for w in words]
+    images = [apply_morphism(m, x) for x in braids]
+    return braids[:count], braids[count:], images[:count], images[count:]
 
 
 def verify_respects_lcm(
@@ -177,7 +178,6 @@ def verify_respects_lcm(
     nothing.  Over spherical graphs the default budget is large enough
     that skips do not occur in practice.
     """
-    rng = random.Random(seed)
     checks = []
     skipped = []
 
@@ -200,11 +200,9 @@ def verify_respects_lcm(
                                 f"phi(lcm)={img!r} lcm(phi)={tgt!r}"))
 
     # random pairs: injectivity, divisibility reflection, lcm respect
-    xs = _random_source_elements(m, rng, pairs, max_len)
-    ys = _random_source_elements(m, rng, pairs, max_len)
+    xs, ys, fxs, fys = _sample_pairs(m, pairs, max_len, seed)
     injective, reflected, respected = [], [], []
-    for x, y in zip(xs, ys):
-        fx, fy = apply_morphism(m, x), apply_morphism(m, y)
+    for x, y, fx, fy in zip(xs, ys, fxs, fys):
         if x.factors != y.factors:
             injective.append(fx.factors != fy.factors)
         reflected.append(divides(x, y, "left") == divides(fx, fy, "left")
@@ -260,11 +258,7 @@ def verify_respects_normal_forms(
 ) -> VerificationReport:
     """Factorwise images of normal forms are normal forms; gcd's and
     irreducible fractions are respected."""
-    rng = random.Random(seed)
-    xs = _random_source_elements(m, rng, samples, max_len)
-    ys = _random_source_elements(m, rng, samples, max_len)
-    fxs = [apply_morphism(m, x) for x in xs]
-    fys = [apply_morphism(m, y) for y in ys]
+    xs, ys, fxs, fys = _sample_pairs(m, samples, max_len, seed)
     factorwise = []
     for x, fx in zip(xs, fxs):
         rebuilt = _factorwise_image(m, x)

@@ -66,6 +66,7 @@ from .graphs import (
     INFINITY,
     ISOMORPHISM_RANK_LIMIT,
     CoxeterGraph,
+    _checked_replace,
     automorphisms,
     bipartite_classes,
     is_direct_product,
@@ -88,6 +89,7 @@ class BlockPartition(namedtuple("BlockPartition", "graph blocks names")):
     """
 
     __slots__ = ()
+    _replace = _checked_replace
 
     def __new__(cls, graph, blocks, names):
         blocks, names = tuple(map(tuple, blocks)), tuple(names)
@@ -211,8 +213,7 @@ def replay_witness(g: CoxeterGraph, w: IncompatibleWord) -> bool:
     from scratch via the definition, not the scan)."""
     a, b = (w.alpha, w.beta) if w.first == "alpha" else (w.beta, w.alpha)
     blocks = [a if k % 2 == 0 else b for k in range(w.n)]
-    carrier = tuple(sorted(set(w.alpha) | set(w.beta)))
-    return not is_compatible(g.restrict(carrier), blocks)
+    return not is_compatible(g.restrict((*w.alpha, *w.beta)), blocks)
 
 
 class ExhaustiveFiniteCertificate(namedtuple("ExhaustiveFiniteCertificate", "order")):
@@ -245,6 +246,7 @@ class AdmissibilityVerdict(namedtuple(
     ((name_a, name_b), pair verdict) for partitions."""
 
     __slots__ = ()
+    _replace = _checked_replace
 
     def __new__(cls, outcome, bound, reason="", witness=None, certificate=None,
                 pair=None, details=()):
@@ -276,8 +278,7 @@ def pair_order(g: CoxeterGraph, alpha, beta, bound: int = DEFAULT_BOUND):
     exact over a spherical restriction, else a power scan up to the bound
     (None past it).  ``check_pair`` reads the order off its alternating
     scan instead."""
-    carrier = tuple(sorted(set(alpha) | set(beta)))
-    gr = g.restrict(carrier)
+    gr = g.restrict((*alpha, *beta))
     w = longest_element(gr, alpha) * longest_element(gr, beta)
     return w.order(bound)
 
@@ -330,8 +331,7 @@ def check_pair(
     if not alpha or not beta or set(alpha) & set(beta):
         raise ValueError("blocks must be disjoint and nonempty")
     pair = (alpha, beta)
-    carrier = tuple(sorted(alpha + beta))
-    gr = g.restrict(carrier)
+    gr = g.restrict(alpha + beta)
     for b in (alpha, beta):
         if not is_spherical(gr.restrict(b)):
             raise ValueError(f"block {b} does not span a spherical subgraph")
@@ -377,7 +377,7 @@ def check_pair(
         # every vertex of the carrier is a left descent of the compatible
         # products of m factors, so they are its longest element (and the
         # carrier is spherical: rung (iv) is empty)
-        if not spherical or product != longest_element(gr, carrier):
+        if not spherical or product != longest_element(gr):
             raise RuntimeError(f"alternating products of {pair} are not w0")
         return AdmissibilityVerdict(
             "admissible",
@@ -387,21 +387,20 @@ def check_pair(
             pair=pair,
         )
 
-    cert = _orbit_certificate(gr, (alpha, beta))
-    if cert is not None:
-        return AdmissibilityVerdict(
-            "admissible",
-            bound,
-            reason="blocks are the orbits of their stabilizer in Aut",
-            certificate=cert,
-            pair=pair,
-        )
-    return AdmissibilityVerdict(
+    return _orbit_verdict(gr, (alpha, beta), bound, pair) or AdmissibilityVerdict(
         "unknown",
         bound,
         reason=f"compatible up to {bound} factors but no certificate applies",
         pair=pair,
     )
+
+
+def _orbit_verdict(g: CoxeterGraph, blocks, bound: int, pair=None):
+    """The admissible verdict of the blocks' orbit certificate, or None."""
+    cert = _orbit_certificate(g, blocks)
+    return None if cert is None else AdmissibilityVerdict(
+        "admissible", bound, reason="blocks are the orbits of their stabilizer in Aut",
+        certificate=cert, pair=pair)
 
 
 def _orbit_certificate(g: CoxeterGraph, blocks):
@@ -455,15 +454,8 @@ def check_admissible(p: BlockPartition, bound: int = DEFAULT_BOUND) -> Admissibi
         raise ValueError("every block must span a spherical subgraph")
     if len(p.blocks) == 1:
         return AdmissibilityVerdict("admissible", bound, reason="single block")
-    gJ = p.graph.restrict(p.carrier)
-    cert = _orbit_certificate(gJ, p.blocks)
-    if cert is not None:
-        return AdmissibilityVerdict(
-            "admissible",
-            bound,
-            reason="blocks are the orbits of their stabilizer in Aut",
-            certificate=cert,
-        )
+    if verdict := _orbit_verdict(p.graph.restrict(p.carrier), p.blocks, bound):
+        return verdict
     # every pair is checked; the first refusal, else the unknown pairs,
     # decides the verdict
     details = tuple([

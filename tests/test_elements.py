@@ -83,6 +83,15 @@ def test_backends_agree_elementwise():
             assert support(p) == support(m)
 
 
+def test_products_of_two_backends_are_refused():
+    g = named_graph("A3")
+    p, m = generator(g, "1"), identity_element(g, "matrix").gen_right("2")
+    with pytest.raises(ValueError, match="product of a perm and a matrix element"):
+        p * m
+    with pytest.raises(ValueError, match="product of a matrix and a perm element"):
+        m * p
+
+
 def test_backend_selection():
     assert pick_backend(named_graph("A3")) == "perm"
     assert pick_backend(named_graph("Atilde3")) == "matrix"

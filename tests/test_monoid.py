@@ -14,6 +14,7 @@ from coxmon import (
     braid_to_json,
     cancel,
     divides,
+    element_from_word,
     gcd,
     generator,
     identity_element,
@@ -327,6 +328,30 @@ def test_monoid_operations_refuse_braids_over_two_graphs():
                     op(u, v, side)
     with pytest.raises(ValueError, match="different graphs"):
         irreducible_fraction(x, y)
+
+
+def test_factors_of_two_backends_are_refused():
+    # every factor of a braid is read through one kernel: a permutation and
+    # a matrix over the same graph are refused, with both backends named
+    a3 = named_graph("A3")
+    p, m = generator(a3, "1"), identity_element(a3, "matrix").gen_right("2")
+    both = "two backends, (perm and matrix|matrix and perm)"
+    for simples in ([p, m], [m, p]):
+        with pytest.raises(ValueError, match=both):
+            normalize(a3, simples)
+    with pytest.raises(ValueError, match="two backends, perm and matrix"):
+        PosBraid(a3, (element_from_word(a3, "12"), m))
+    x, y = braid_from_word(a3, "12"), lift(m)
+    for u, v in ((x, y), (y, x)):
+        for op in (multiply, irreducible_fraction):
+            with pytest.raises(ValueError, match=both):
+                op(u, v)
+        for op in (gcd, lcm, divides, cancel):
+            for side in ("left", "right"):
+                with pytest.raises(ValueError, match=both):
+                    op(u, v, side)
+    # one backend throughout is still a braid, whichever it is
+    assert multiply(y, y) == normalize(a3, [m, m]) and multiply(y, y).length == 2
 
 
 def test_normalize_refuses_an_identity_factor_over_another_graph():

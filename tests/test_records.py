@@ -51,6 +51,7 @@ P = bipartite_partition(G)
 V = AdmissibilityVerdict("admissible", 4, "r")
 PT = PartitionType(P, ((1, 3), (3, 1)), 4)
 X = braid_from_word(G, ["1", "2"])
+A3 = named_graph("A3")
 BR = BurstResult(G, 1, G, P)
 
 # class, field names in order, one set of field values
@@ -181,10 +182,27 @@ def test_exact_scalars_are_not_ordered():
     lambda: BlockPartition(G, (("2",), ("1",)), ("a", "b")),
     lambda: AdmissibilityVerdict("maybe", 8),
     lambda: AdmissibilityVerdict("not_admissible", 8),
+    # ``_replace`` builds through the class, and so runs the same checks
+    lambda: braid_from_word(A3, "12")._replace(factors=(identity_element(A3),)),
+    lambda: A3._replace(matrix=((1, 3, 2), (5, 1, 3), (2, 3, 1))),
+    lambda: bipartite_partition(A3)._replace(blocks=(("1", "2"), ("2", "3"))),
+    lambda: AdmissibilityVerdict("admissible", 4)._replace(outcome="not_admissible"),
+    lambda: SphericalType("A", 3)._replace(family="Z"),
 ])
 def test_records_refuse_bad_fields(build):
     with pytest.raises(ValueError):
         build()
+
+
+def test_replace_builds_the_record_the_class_builds():
+    for x in (G, SphericalType("A", 2), X, P, V):
+        assert x._replace() == x and type(x._replace()) is type(x)
+        with pytest.raises(ValueError, match="unexpected field names"):
+            x._replace(nosuch=1)
+    assert G._replace(matrix=[[1, 4], [4, 1]]) == named_graph("B2")
+    assert X._replace(factors=[S1]) == braid_from_word(G, ["1"])
+    assert P._replace(names=["a", "b"]) == BlockPartition(G, P.blocks, ("a", "b"))
+    assert V._replace(reason="s") == AdmissibilityVerdict("admissible", 4, "s")
 
 
 def test_graph_stores_a_list_matrix_as_tuples():
