@@ -230,11 +230,27 @@ def _mask_set(g: CoxeterGraph, mask: int) -> frozenset:
     return frozenset(v for a, v in enumerate(g.vertices) if mask >> a & 1)
 
 
+def _not_implemented(self, other):
+    """Refuse a tuple operator that an element or a braid would inherit."""
+    return NotImplemented
+
+
+def _refuse_product(x, other):
+    """A product whose factors do not match: NotImplemented (so TypeError)
+    for a non-element, else the ValueError that names the mismatch."""
+    if not isinstance(other, _Element):
+        return NotImplemented
+    if other.graph != x.graph:
+        raise ValueError("product of elements over different graphs")
+    raise ValueError(f"product of a {x.backend} and a {other.backend} element")
+
+
 class _Element:
     """What both backends share: the raw data, the kernel, the inverse
     (cached, built by the kernel) and the descent sets read off the masks."""
 
     __slots__ = ()
+    __rmul__ = __add__ = __radd__ = _not_implemented
 
     # the raw data is the second field of both records: ``perm``, ``matrix``
     data = property(itemgetter(1))
@@ -334,10 +350,8 @@ class RootPermElement(_Element, namedtuple("RootPermElement", "graph perm rs")):
         return f"RootPermElement(graph={self.graph!r}, perm={self.perm!r})"
 
     def __mul__(self, other: "RootPermElement") -> "RootPermElement":
-        if other.graph != self.graph:
-            raise ValueError("product of elements over different graphs")
-        if other.backend != self.backend:
-            raise ValueError(f"product of a {self.backend} and a {other.backend} element")
+        if other.__class__ is not RootPermElement or other.graph != self.graph:
+            return _refuse_product(self, other)
         return RootPermElement(self.graph, self.rs.translate(other.perm, self.perm), self.rs)
 
     def gen_left(self, v: str) -> "RootPermElement":
@@ -426,10 +440,8 @@ class MatrixElement(_Element, namedtuple("MatrixElement", "graph matrix")):
         return tuple(out)
 
     def __mul__(self, other: "MatrixElement") -> "MatrixElement":
-        if other.graph != self.graph:
-            raise ValueError("product of elements over different graphs")
-        if other.backend != self.backend:
-            raise ValueError(f"product of a {self.backend} and a {other.backend} element")
+        if other.__class__ is not MatrixElement or other.graph != self.graph:
+            return _refuse_product(self, other)
         dot = field_for_modulus(self.graph.modulus).dot
         cols = other._columns
         out = []

@@ -39,6 +39,7 @@ from collections import namedtuple
 
 from .elements import StepBudgetExceeded  # re-exported
 from .elements import (
+    _not_implemented,
     canonical_word,
     element_from_word,
     generator,
@@ -68,6 +69,7 @@ class PosBraid(namedtuple("PosBraid", "graph factors")):
 
     __slots__ = ()
     _replace = _checked_replace
+    __rmul__ = __add__ = __radd__ = _not_implemented
 
     def __new__(cls, graph, factors):
         factors = tuple(factors)
@@ -99,7 +101,7 @@ class PosBraid(namedtuple("PosBraid", "graph factors")):
         return tuple(out)
 
     def __mul__(self, other: "PosBraid") -> "PosBraid":
-        return multiply(self, other)
+        return multiply(self, other) if isinstance(other, PosBraid) else NotImplemented
 
     def __repr__(self):
         return f"PosBraid({''.join(self.word()) or 'e'})"

@@ -40,7 +40,7 @@ element of W_J with every generator as a left descent, and only a finite
 Coxeter group has one (Björner and Brenti, *Combinatorics of Coxeter
 Groups*, ch. 2).  So J is spherical.  A refusal over an infinite carrier
 may still find a finite order (the scan runs on to the bound after an
-alpha witness); whether it ever does is open.
+alpha witness): over G~2 (labels 3, 6), blocks {1, 2} and {3} give 6.
 
 Certificates that upgrade Unknown to Admissible: the pair/partition equals
 the orbit partition of the subgroup of graph automorphisms stabilizing its
@@ -489,9 +489,9 @@ def check_admissible(p: BlockPartition, bound: int = DEFAULT_BOUND) -> Admissibi
 
 class PartitionType(namedtuple("PartitionType", "partition orders bound")):
     """The Coxeter matrix over block names: entry |r_a r_b|, where the
-    infinite label is only written when certified (admissible pair over an
-    infinite restriction); None records "no finite order up to the bound,
-    no certificate"."""
+    infinite label is only written for an admissible pair over an infinite
+    restriction, certified or, under ``assume_admissible``, on the caller's
+    word; None records "no finite order up to the bound, no certificate"."""
 
     __slots__ = ()
 
@@ -530,12 +530,12 @@ def partition_type(
     bound: int = DEFAULT_BOUND,
     assume_admissible: bool = False,
 ) -> PartitionType:
-    """The infinite label is written only for pairs that are admissible
-    over a non-spherical restriction (an admissible pair with a finite
-    product order has a spherical carrier, so no finite order within the
-    bound plus admissibility settles the entry).  The admissibility backing
-    is a per-pair certificate, or the caller's word when
-    ``assume_admissible`` is set (e.g. a partition certified by a lift)."""
+    """A spherical carrier gives the exact order.  Over an infinite one an
+    admissible pair has infinite order (rung (iv) is empty): under
+    ``assume_admissible`` every such entry is infinite on the caller's word
+    (e.g. a partition certified by a lift), with no search; otherwise one
+    pair check decides, a certificate giving infinity, a refusal the order
+    up to the bound and an unknown None."""
     if not is_spherical_partition(p):
         raise ValueError("every block must span a spherical subgraph")
     k = len(p.blocks)
@@ -543,16 +543,13 @@ def partition_type(
     for i in range(k):
         for j in range(i + 1, k):
             a, b = p.blocks[i], p.blocks[j]
-            v = None
-            if not (assume_admissible or is_spherical(p.graph.restrict(a + b))):
-                # one pair check decides the entry: over an infinite carrier
-                # an admissible pair has infinite order (rung (iv) is empty)
-                v = check_pair(p.graph, a, b, bound)
-            if v is None or v.outcome == "not_admissible":
+            if is_spherical(p.graph.restrict(a + b)):
                 m = pair_order(p.graph, a, b, bound)
-                if m is None and assume_admissible:
-                    m = INFINITY  # admissible, infinite restriction
-            else:  # certified admissible over an infinite restriction, or unknown
+            elif assume_admissible:
+                m = INFINITY
+            elif (v := check_pair(p.graph, a, b, bound)).outcome == "not_admissible":
+                m = pair_order(p.graph, a, b, bound)
+            else:  # certified admissible, or unknown
                 m = INFINITY if v.is_admissible else None
             orders[i][j] = orders[j][i] = m
     return PartitionType(p, tuple(tuple(row) for row in orders), bound)

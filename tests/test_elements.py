@@ -92,6 +92,21 @@ def test_products_of_two_backends_are_refused():
         m * p
 
 
+@pytest.mark.parametrize("backend", ["perm", "matrix"])
+def test_products_and_sums_with_non_elements_raise_type_error(backend):
+    # elements are namedtuples: without operators of their own, a product
+    # with an int reads other.graph, and 2 * x and x + x repeat and
+    # concatenate the record's fields
+    g = named_graph("A3")
+    x = identity_element(g, backend).gen_right("1")
+    for op in (lambda: x * 2, lambda: 2 * x, lambda: x + x, lambda: x + (1,)):
+        with pytest.raises(TypeError):
+            op()
+    with pytest.raises(ValueError, match="product of elements over different graphs"):
+        x * identity_element(named_graph("A2"), backend).gen_right("1")
+    assert (x * x).is_identity
+
+
 def test_backend_selection():
     assert pick_backend(named_graph("A3")) == "perm"
     assert pick_backend(named_graph("Atilde3")) == "matrix"

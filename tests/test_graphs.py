@@ -323,8 +323,9 @@ def test_infinity_is_math_inf():
 
 
 def test_classification_invariants_raise_without_assert(monkeypatch):
-    # tests/test_optimized.py runs this under python -O, where an assert
-    # would let both through (tests/test_records.py checks the family)
+    # both refusals must raise: an assert would let both through under
+    # python -O, and tests/test_optimized.py finds none in the library
+    # (tests/test_records.py checks the family)
     branching = parse_graph("edge 1 2 3\nedge 2 3 3\nedge 2 4 3")
     with pytest.raises(RuntimeError):
         _leg_length(branching, "1", "2")

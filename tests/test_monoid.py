@@ -354,6 +354,18 @@ def test_factors_of_two_backends_are_refused():
     assert multiply(y, y) == normalize(a3, [m, m]) and multiply(y, y).length == 2
 
 
+def test_products_and_sums_of_braids_with_non_braids_raise_type_error():
+    # braids are namedtuples: without operators of their own, a product
+    # with an int reads other.graph, and 3 * x and x + x repeat and
+    # concatenate the record's fields
+    a3 = named_graph("A3")
+    x, s = braid_from_word(a3, "12"), generator(a3, "1")
+    for op in (lambda: x * 2, lambda: 3 * x, lambda: x + x, lambda: x * s, lambda: s * x):
+        with pytest.raises(TypeError):
+            op()
+    assert x * x == multiply(x, x) == braid_from_word(a3, "1212")
+
+
 def test_normalize_refuses_an_identity_factor_over_another_graph():
     # identity factors are dropped from the product, but only after the
     # graph of every input is checked, as PosBraid checks its factors

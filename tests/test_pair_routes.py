@@ -165,11 +165,12 @@ def ref_partition_type_orders(p, bound, assume_admissible):
     for i in range(k):
         for j in range(i + 1, k):
             a, b = p.blocks[i], p.blocks[j]
-            m = ref_pair_order(p.graph, a, b, bound)
-            if m is None and not is_spherical(p.graph.restrict(a + b)):
-                if assume_admissible:
-                    m = INFINITY
-                else:
+            infinite = not is_spherical(p.graph.restrict(a + b))
+            if infinite and assume_admissible:
+                m = INFINITY  # the caller's word, whatever the order
+            else:
+                m = ref_pair_order(p.graph, a, b, bound)
+                if m is None and infinite:
                     v = ref_check_pair(p.graph, a, b, bound)
                     if v.is_admissible and v.certificate is not None:
                         m = INFINITY

@@ -32,6 +32,7 @@ from coxmon import (
     product_split_check,
     replay_witness,
 )
+from coxmon import partitions
 
 
 def blocks_text(p):
@@ -244,6 +245,30 @@ def test_partition_type_entries():
     t2 = partition_type(p, assume_admissible=True)
     assert math.isinf(t2.entry("1", "2"))
     assert "inf" in str(t2.to_json())
+
+
+def test_assume_admissible_takes_the_callers_word_over_an_infinite_carrier():
+    # G~2 with blocks 1,2 / 3: check_pair refuses the pair at rung (ii) and
+    # r_a r_b has order 6, but under assume_admissible the caller's word
+    # decides, as for every pair over an infinite carrier: infinite
+    g = parse_graph("edge 1 2 3\nedge 2 3 6")
+    p = block_partition(g, [["1", "2"], ["3"]])
+    v = check_pair(g, ["1", "2"], ["3"])
+    assert v.outcome == "not_admissible" and replay_witness(g, v.witness)
+    assert pair_order(g, ["1", "2"], ["3"], 64) == 6
+    assert partition_type(p, 64).entry("1", "3") == 6
+    assert math.isinf(partition_type(p, 64, assume_admissible=True).entry("1", "3"))
+
+
+def test_assume_admissible_searches_no_order_over_an_infinite_carrier(monkeypatch):
+    # rung (iv) is empty, so an admissible pair over an infinite carrier
+    # has infinite order: the caller's word needs no power scan behind it
+    def no_search(*args):
+        raise AssertionError("pair_order searched behind an infinite entry")
+
+    monkeypatch.setattr(partitions, "pair_order", no_search)
+    p = block_partition(named_graph("Atilde3"), [["1", "3"], ["2", "4"]])
+    assert math.isinf(partition_type(p, assume_admissible=True).entry("1", "2"))
 
 
 def test_partition_type_unresolved_within_bound():
