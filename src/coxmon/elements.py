@@ -235,6 +235,13 @@ def _not_implemented(self, other):
     return NotImplemented
 
 
+def _refuse_radd(self, other):
+    """Refuse ``other + self``: NotImplemented would hand a tuple on the left
+    to tuple concatenation, which takes any tuple, so raise instead."""
+    raise TypeError(f"unsupported operand type(s) for +: "
+                    f"{type(other).__name__!r} and {type(self).__name__!r}")
+
+
 def _refuse_product(x, other):
     """A product whose factors do not match: NotImplemented (so TypeError)
     for a non-element, else the ValueError that names the mismatch."""
@@ -250,7 +257,8 @@ class _Element:
     (cached, built by the kernel) and the descent sets read off the masks."""
 
     __slots__ = ()
-    __rmul__ = __add__ = __radd__ = _not_implemented
+    __rmul__ = __add__ = _not_implemented
+    __radd__ = _refuse_radd
 
     # the raw data is the second field of both records: ``perm``, ``matrix``
     data = property(itemgetter(1))

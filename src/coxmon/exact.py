@@ -1,4 +1,4 @@
-"""Exact arithmetic in the fields Q(2 cos(pi/N)).
+"""Exact arithmetic in the rings Z[2 cos(pi/N)].
 
 Every finite edge label m that occurs in a Coxeter graph contributes the
 real number 2 cos(pi/m) to the entries of the reflection representation.
@@ -8,12 +8,11 @@ integer polynomial p_k(x) = 2 T_k(x/2) (Chebyshev):
 
     p_0 = 2,  p_1 = x,  p_{k+1} = x p_k - p_{k-1}.
 
-A scalar is a polynomial in theta with rational coefficients, reduced mod
+A scalar is a polynomial in theta with integer coefficients, reduced mod
 the minimal polynomial Psi_N of theta, of degree d = phi(2N)/2 (N >= 2).
-Every scalar the library builds is an algebraic integer in Z[theta]: Psi_N
-is monic with integer coefficients and 2 cos(pi/m) = p_{N/m}(theta), so the
-coefficients are plain ints, and reduction mod Psi_N keeps them ints.  A
-``Fraction`` appears only where a caller passes a non-integral rational.
+Every entry of the reflection representation lies in Z[theta]: Psi_N is
+monic over Z and 2 cos(pi/m) = p_{N/m}(theta), so reduction mod Psi_N keeps
+the coefficients plain ints.  Other coefficients are refused.
 A sum of products, such as an entry of a matrix product, is summed as
 unreduced integer polynomials and reduced once (``CosField.dot``), so it
 costs one reduction and one scalar, not one per product.
@@ -25,11 +24,11 @@ gives Psi_N in the basis p_k.  No numerics, nothing left to certify.
 Zero testing is exact (reduced coefficients all zero).  The *sign* of a
 nonzero scalar is read off integer enclosures at doubling precision p: a
 cached table per (N, p) holds integers lo_k <= 2^p theta^k <= hi_k (k < d),
-the powers of an integer bracket of theta rounded outward.  Scaled to
-integer coefficients c_k, the scalar times 2^p lies between two integer
-sums of c_k lo_k and c_k hi_k; when both sums have one sign, that is the
-sign.  The exact zero test guarantees termination.  The bracket is found
-by integer Newton steps on Psi_N from above theta, then checked exactly.
+the powers of an integer bracket of theta rounded outward.  With the
+coefficients c_k, the scalar times 2^p lies between the integer sums of
+c_k lo_k and c_k hi_k; when both sums have one sign, that is the sign.
+The exact zero test guarantees termination.  The bracket is found by
+integer Newton steps on Psi_N from above theta, then checked exactly.
 Psi_N has the real roots 2 cos(k pi/N), k odd and prime to N: theta (k = 1)
 and others <= 2 cos(3 pi/N).  For N >= 4 and x = pi/N, L = 2 - (pi_hi/N)^2
 with pi_hi = 3.14159266 > pi lies between: 2 cos x >= 2 - x^2 > L, and
@@ -45,8 +44,8 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from collections import namedtuple
-from fractions import Fraction
 
 
 # -- plain polynomial helpers (coefficient tuples, low degree first) ------
@@ -159,8 +158,8 @@ def minimal_polynomial(N: int):
 
 
 class CosField(namedtuple("CosField", "modulus psi")):
-    """Q(2 cos(pi/N)) presented as Q[x] / Psi_N: the modulus N and the
-    integer coefficient tuple of Psi_N."""
+    """Z[2 cos(pi/N)] as Z[x] / Psi_N, its scalars with integer coefficients:
+    the modulus N and the integer coefficient tuple of Psi_N."""
 
     __slots__ = ()
 
@@ -169,7 +168,10 @@ class CosField(namedtuple("CosField", "modulus psi")):
         return len(self.psi) - 1
 
     def scalar(self, coeffs) -> "ExactScalar":
-        c = tuple(map(_rational, coeffs))
+        try:
+            c = tuple(map(operator.index, coeffs))
+        except TypeError:
+            raise TypeError("scalar coefficients must be integers") from None
         if len(c) >= len(self.psi):
             _, c = poly_divmod_monic(c, self.psi)
         c = c + (0,) * (self.degree - len(c))
@@ -227,14 +229,6 @@ class CosField(namedtuple("CosField", "modulus psi")):
         return self.scalar(chebyshev_like(self.modulus // m))
 
 
-def _rational(x):
-    """x as an int when it is integral, else as a Fraction."""
-    if type(x) is int:
-        return x
-    q = Fraction(x)
-    return q.numerator if q.denominator == 1 else q
-
-
 @functools.cache
 def field_for_modulus(N: int) -> CosField:
     return CosField(N, minimal_polynomial(N))
@@ -265,7 +259,8 @@ def _power_bounds(N: int, p: int) -> tuple:
         dpsi = [k * c for k, c in enumerate(psi)][1:]
         while (step := _scaled_value(psi, x, q) // _scaled_value(dpsi, x, q)) > 0:
             x -= step
-        if not (2 - Fraction(314159266, N * 10 ** 8) ** 2 < Fraction(x - 1, 1 << q)
+        # L < (x - 1) / 2^q with both sides times 10^16 N^2 2^q, then the signs
+        if not ((2 * 10 ** 16 * N * N - 314159266 ** 2) << q < (x - 1) * 10 ** 16 * N * N
                 and _scaled_value(psi, x - 1, q) < 0 < _scaled_value(psi, x, q)):
             raise RuntimeError(f"theta = 2 cos(pi/{N}) not isolated at {q} bits")
     for _ in range(d - 1):
@@ -275,9 +270,8 @@ def _power_bounds(N: int, p: int) -> tuple:
 
 
 class ExactScalar(namedtuple("ExactScalar", "field coeffs")):
-    """An element of a CosField: its fixed-length coefficient tuple (ints,
-    or Fractions where a caller passed non-integral rationals).  Scalars
-    are not ordered by their fields; ``sign`` compares with zero."""
+    """An element of a CosField: its fixed-length tuple of int coefficients.
+    Scalars are not ordered by their fields; ``sign`` compares with zero."""
 
     __slots__ = ()
     __lt__ = __le__ = __gt__ = __ge__ = None
@@ -291,9 +285,7 @@ class ExactScalar(namedtuple("ExactScalar", "field coeffs")):
             if other.field is not self.field and other.field != self.field:
                 raise ValueError("scalars from different fields")
             return other
-        if isinstance(other, (int, Fraction)):
-            return self.field.scalar((other,))
-        return NotImplemented
+        return self.field.scalar((other,)) if isinstance(other, int) else NotImplemented
 
     def __add__(self, other):
         o = self._check(other)
@@ -335,16 +327,12 @@ class ExactScalar(namedtuple("ExactScalar", "field coeffs")):
         if not nonzero:
             return 0
         if len(nonzero) == 1 and self.coeffs[0]:
-            return 1 if self.coeffs[0] > 0 else -1  # rational fast path
-        coeffs = self.coeffs
-        if any(type(c) is not int for c in nonzero):
-            den = math.lcm(*(c.denominator for c in nonzero))
-            coeffs = [int(c * den) for c in coeffs]
+            return 1 if self.coeffs[0] > 0 else -1  # a constant
         N = self.field.modulus
         p = 64
         while p <= (1 << 16):
             lo = hi = 0
-            for c, (a, b) in zip(coeffs, _power_bounds(N, p)):
+            for c, (a, b) in zip(self.coeffs, _power_bounds(N, p)):
                 if c > 0:
                     lo += c * a
                     hi += c * b

@@ -40,6 +40,7 @@ from collections import namedtuple
 from .elements import StepBudgetExceeded  # re-exported
 from .elements import (
     _not_implemented,
+    _refuse_radd,
     canonical_word,
     element_from_word,
     generator,
@@ -69,7 +70,8 @@ class PosBraid(namedtuple("PosBraid", "graph factors")):
 
     __slots__ = ()
     _replace = _checked_replace
-    __rmul__ = __add__ = __radd__ = _not_implemented
+    __rmul__ = __add__ = _not_implemented
+    __radd__ = _refuse_radd
 
     def __new__(cls, graph, factors):
         factors = tuple(factors)

@@ -109,9 +109,10 @@ def build_morphism(
     verdict = check_admissible(p, bound)
     if not verdict.is_admissible:
         raise ValueError(f"partition is not admissible: {verdict.reason}")
-    # the verdict covers every pair, so the type may assume admissibility;
-    # it then writes the infinite label wherever pair_order finds no order
-    # within the bound, so every entry is set and the type graph exists
+    # the verdict covers every pair, so the type may assume admissibility:
+    # it writes the exact order over every spherical carrier and, with no
+    # search, the infinite label over every infinite one (rung (iv) is
+    # empty), so every entry is set and the type graph exists
     ptype = partition_type(p, bound, assume_admissible=True)
     return AdmissibleMorphism(g, p, verdict, ptype.graph())
 

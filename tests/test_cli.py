@@ -333,6 +333,18 @@ print(field_for_modulus(5).scalar((-2, 1)).sign(), "mpmath" in sys.modules)
     assert proc.stdout.split("\n")[:2] == ["[0, 0] False False False", "-1 False"]
 
 
+def test_cold_import_loads_no_rational_arithmetic():
+    # every scalar has integer coefficients, so importing the CLI loads
+    # neither fractions nor the decimal and numbers modules it pulls in;
+    # -S keeps the imports of site and its .pth files out of the set
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    code = (f"import sys; sys.path.insert(0, {src!r}); import coxmon.cli; "
+            "print([m for m in ('fractions', 'decimal', 'numbers') if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-S", "-c", code],
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
+
+
 # -- the exit-code contract on generated inputs -------------------------------
 
 

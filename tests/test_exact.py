@@ -159,9 +159,10 @@ def test_two_cos_is_increasing_in_the_label():
 
 def test_sign_of_a_tiny_difference():
     # 2 cos(pi/60) = 1.99725906... sits just below 1.99726; the sign test
-    # must refine past the first interval evaluation to see that
+    # must refine past the first interval evaluation to see that (the
+    # difference is taken times 100000, to keep integer coefficients)
     f = field_for_modulus(60)
-    x = f.two_cos(60) - f.scalar((Fraction(199726, 100000),))
+    x = 100000 * f.two_cos(60) - 199726
     assert x.sign() == -1
     assert (-x).sign() == 1
 
@@ -170,8 +171,7 @@ def _numeric(x):
     """Independent numeric evaluation of an exact scalar."""
     with mpmath.workprec(200):
         theta = 2 * mpmath.cos(mpmath.pi / x.field.modulus)
-        return mpmath.polyval([mpmath.mpf(c.numerator) / c.denominator
-                               for c in reversed(x.coeffs)], theta)
+        return mpmath.polyval([mpmath.mpf(c) for c in reversed(x.coeffs)], theta)
 
 
 small_fracs = st.fractions(
@@ -181,9 +181,12 @@ small_fracs = st.fractions(
 
 @st.composite
 def scalars(draw, modulus=12):
+    # small rationals times the lcm of their denominators: integer
+    # coefficients, with the signs those rationals give
     f = field_for_modulus(modulus)
     coeffs = draw(st.lists(small_fracs, min_size=0, max_size=f.degree))
-    return f.scalar(coeffs)
+    den = math.lcm(*(c.denominator for c in coeffs))
+    return f.scalar([int(c * den) for c in coeffs])
 
 
 @given(scalars(), scalars(), scalars())
@@ -269,7 +272,7 @@ def test_power_bounds_refuse_an_unchecked_bracket(monkeypatch):
 
 def _interval_sign(x):
     """Second route: Horner evaluation in mpmath intervals at doubling
-    precision, straight from the rational coefficients."""
+    precision, straight from the integer coefficients."""
     if x.is_zero():
         return 0
     old = iv.prec
@@ -279,7 +282,7 @@ def _interval_sign(x):
             theta = 2 * iv.cos(iv.pi / x.field.modulus)
             acc = iv.mpf(0)
             for c in reversed(x.coeffs):
-                acc = acc * theta + iv.mpf(c.numerator) / c.denominator
+                acc = acc * theta + c
             if acc > 0:
                 return 1
             if acc < 0:
@@ -295,19 +298,19 @@ def test_sign_matches_the_interval_route(a):
 
 
 def _near_zero_differences():
-    """2 cos(pi/m) minus its best rational approximations, both signs: from
-    40 digits on, the differences lie far below 2^-64 and force the sign
-    test past its first precision."""
+    """2 cos(pi/m) minus its best rational approximations a/b, both signs,
+    taken times b: from 40 digits on, the differences lie far below b 2^-64
+    and force the sign test past its first precision."""
     out = []
     for N, m in ((60, 60), (30, 30), (12, 12), (7, 7), (60, 20)):
         f = field_for_modulus(N)
         with mpmath.workprec(400):
             value = 2 * mpmath.cos(mpmath.pi / m)
             for digits in (6, 20, 40, 60):
-                q = Fraction(mpmath.nstr(value, digits + 10))
-                d = f.two_cos(m) - f.scalar((q.limit_denominator(10 ** digits),))
+                q = Fraction(mpmath.nstr(value, digits + 10)).limit_denominator(10 ** digits)
+                d = q.denominator * f.two_cos(m) - q.numerator
                 if digits >= 40:
-                    assert abs(_numeric(d)) < mpmath.mpf(2) ** -64
+                    assert abs(_numeric(d)) < mpmath.mpf(2) ** -64 * q.denominator
                 out += [d, -d]
     return out
 
@@ -326,7 +329,6 @@ def test_signs_and_cli_run_without_mpmath(tmp_path):
     graph.write_text("edge 1 2 5\nedge 2 3 inf\n")
     code = f"""
 import contextlib, io, json, sys
-from fractions import Fraction
 sys.modules["mpmath"] = None
 from coxmon.cli import main
 from coxmon.exact import field_for_modulus
@@ -345,7 +347,15 @@ print([field_for_modulus(N).scalar(c).sign() for N, c in cases])
 
 def test_integer_coefficients_are_ints():
     f = field_for_modulus(12)
-    assert [type(c) for c in f.scalar((Fraction(4, 2), 3, True)).coeffs] == [int] * 4
-    assert f.scalar((Fraction(1, 2),)).coeffs[0] == Fraction(1, 2)
+    assert [type(c) for c in f.scalar((2, 3, True)).coeffs] == [int] * 4
     x = f.two_cos(12) * f.two_cos(4) + f.generator
     assert all(type(c) is int for c in x.coeffs)
+    # scalars lie in Z[theta]: anything but an integer is refused, as a
+    # coefficient and as an operand, even a rational that is integral
+    for bad in (Fraction(1, 2), Fraction(4, 2), 0.5, "1"):
+        with pytest.raises(TypeError, match="coefficients must be integers"):
+            f.scalar((bad,))
+        for op in (lambda: x + bad, lambda: bad + x, lambda: x - bad, lambda: bad - x,
+                   lambda: x * bad, lambda: bad * x):
+            with pytest.raises(TypeError):
+                op()

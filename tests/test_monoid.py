@@ -357,14 +357,15 @@ def test_factors_of_two_backends_are_refused():
 def test_products_and_sums_of_braids_with_non_braids_raise_type_error():
     # braids are namedtuples: without operators of their own, a product
     # with an int reads other.graph, and 3 * x and x + x repeat and
-    # concatenate the record's fields
+    # concatenate the record's fields, as (1,) + x would if x's __radd__,
+    # asked first, returned NotImplemented
     a3 = named_graph("A3")
     x, s = braid_from_word(a3, "12"), generator(a3, "1")
-    for op in (lambda: x * 2, lambda: 3 * x, lambda: x + x, lambda: x * s, lambda: s * x):
+    for op in (lambda: x * 2, lambda: 3 * x, lambda: x + x, lambda: x * s, lambda: s * x,
+               lambda: (1,) + x, lambda: (1,) + s):
         with pytest.raises(TypeError):
             op()
     assert x * x == multiply(x, x) == braid_from_word(a3, "1212")
-
 
 def test_normalize_refuses_an_identity_factor_over_another_graph():
     # identity factors are dropped from the product, but only after the
