@@ -67,7 +67,7 @@ import math
 from collections import namedtuple
 from operator import itemgetter
 
-from .exact import field_for_modulus, poly_trim
+from .exact import _refuse_radd, field_for_modulus, poly_trim
 from .graphs import (
     CoxeterGraph,
     is_spherical,
@@ -127,6 +127,13 @@ def _reflect(cos_row, a: int, vec):
     return vec[:a] + (new_a,) + vec[a + 1:]
 
 
+def _simple_roots(g: CoxeterGraph) -> list:
+    """The simple roots as coordinate vectors, in vertex order."""
+    field = field_for_modulus(g.modulus)
+    return [tuple(field.one if r == c else field.zero for c in range(g.rank))
+            for r in range(g.rank)]
+
+
 @functools.lru_cache(maxsize=None)
 def root_system(g: CoxeterGraph) -> RootSystem:
     """The positive roots as the closure of the simple roots under the
@@ -137,7 +144,7 @@ def root_system(g: CoxeterGraph) -> RootSystem:
     if not is_spherical(g):
         raise ValueError("root_system needs a spherical graph")
     rows = _cos_rows(g)
-    roots = list(kernel(g, "matrix").one)  # the simple roots
+    roots = _simple_roots(g)
     found = {v: k for k, v in enumerate(roots)}
     images = []  # images[k][a] = found index of s_a(root k); None for -a_a
     for k, vec in enumerate(roots):  # roots grows while it is scanned
@@ -163,6 +170,38 @@ def root_system(g: CoxeterGraph) -> RootSystem:
     if 2 * P <= 256:
         return _byte_root_system(P, simple_index, action)
     return _tuple_root_system(P, simple_index, action)
+
+
+@functools.lru_cache(maxsize=None)
+def small_roots(g: CoxeterGraph) -> tuple:
+    """The small roots E of any graph, as one index map per vertex index a:
+    ``maps[a][k]`` is the index of s_a(root k) when that root is small, and
+    -1 otherwise.  Roots 0 ... rank-1 are the simple roots, in vertex order.
+
+    E is finite, and N(w) = {b > 0 : w(b) < 0} meets it in a set that
+    decides every right descent of w and follows w letter by letter through
+    these maps (Brink and Howlett, Math. Ann. 296, 1993; Björner and
+    Brenti, Combinatorics of Coxeter Groups, sections 4.7-4.8).  E grows
+    from the simple roots in one breadth-first pass: s_a(b) joins when b is
+    small and -1 < B(a_a, b) < 0, that is 0 < s_a(b)_a - b_a < 2, since
+    here s_a(b) = b - 2 B(a_a, b) a_a.  Over a spherical graph E is every
+    positive root."""
+    rows = _cos_rows(g)
+    roots = _simple_roots(g)
+    found = {v: k for k, v in enumerate(roots)}
+    images = []  # images[k][a] = s_a(root k), looked up once E is whole
+    for k, vec in enumerate(roots):  # roots grows while it is scanned
+        row = []
+        for a, cos_row in enumerate(rows):
+            img = _reflect(cos_row, a, vec)
+            if k != a and img not in found:  # s_a(a_a) = -a_a
+                rise = img[a] - vec[a]
+                if rise.sign() > 0 and (rise - 2).sign() < 0:
+                    found[img] = len(roots)
+                    roots.append(img)
+            row.append(img)
+        images.append(row)
+    return tuple(tuple(found.get(row[a], -1) for row in images) for a in range(g.rank))
 
 
 _BYTE_IDENTITY = bytes(range(256))
@@ -233,13 +272,6 @@ def _mask_set(g: CoxeterGraph, mask: int) -> frozenset:
 def _not_implemented(self, other):
     """Refuse a tuple operator that an element or a braid would inherit."""
     return NotImplemented
-
-
-def _refuse_radd(self, other):
-    """Refuse ``other + self``: NotImplemented would hand a tuple on the left
-    to tuple concatenation, which takes any tuple, so raise instead."""
-    raise TypeError(f"unsupported operand type(s) for +: "
-                    f"{type(other).__name__!r} and {type(self).__name__!r}")
 
 
 def _refuse_product(x, other):

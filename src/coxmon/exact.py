@@ -269,6 +269,14 @@ def _power_bounds(N: int, p: int) -> tuple:
     return tuple(out)
 
 
+def _refuse_radd(self, other):
+    """Refuse ``other + self`` for a tuple record: NotImplemented would hand
+    a tuple on the left to tuple concatenation, which takes any tuple, so
+    raise instead."""
+    raise TypeError(f"unsupported operand type(s) for +: "
+                    f"{type(other).__name__!r} and {type(self).__name__!r}")
+
+
 class ExactScalar(namedtuple("ExactScalar", "field coeffs")):
     """An element of a CosField: its fixed-length tuple of int coefficients.
     Scalars are not ordered by their fields; ``sign`` compares with zero."""
@@ -293,7 +301,11 @@ class ExactScalar(namedtuple("ExactScalar", "field coeffs")):
             return o
         return ExactScalar(self.field, tuple([a + b for a, b in zip(self.coeffs, o.coeffs)]))
 
-    __radd__ = __add__
+    def __radd__(self, other):
+        o = self._check(other)
+        if o is NotImplemented:
+            _refuse_radd(self, other)
+        return o + self
 
     def __neg__(self):
         return ExactScalar(self.field, tuple([-a for a in self.coeffs]))
@@ -305,7 +317,8 @@ class ExactScalar(namedtuple("ExactScalar", "field coeffs")):
         return ExactScalar(self.field, tuple([a - b for a, b in zip(self.coeffs, o.coeffs)]))
 
     def __rsub__(self, other):
-        return -(self - other)
+        o = self._check(other)
+        return o if o is NotImplemented else o - self
 
     def __mul__(self, other):
         o = self._check(other)

@@ -40,12 +40,12 @@ from collections import namedtuple
 from .elements import StepBudgetExceeded  # re-exported
 from .elements import (
     _not_implemented,
-    _refuse_radd,
     canonical_word,
     element_from_word,
     generator,
     longest_element,
 )
+from .exact import _refuse_radd
 from .graphs import CoxeterGraph, _checked_replace, is_infinite, is_spherical
 
 DEFAULT_STEP_BOUND = 10_000

@@ -50,18 +50,32 @@ always carries a replayable incompatible-word witness.
 
 Compatibility is checked stepwise: appending r_B to w is length-additive
 exactly when no right descent of w lies in B (w is then minimal in its
-coset w W_B), so a full alternating scan needs only descent lookups.  Over
-the matrix backend one sign per column of B decides each lookup
-(``has_right_descent_in``): every product of the scan is a group element,
-whose columns are roots; the replay of a witness reads every sign.
+coset w W_B), so a full alternating scan needs only descent lookups.  A
+spherical carrier scans root permutations.  A non-spherical one scans the
+small-root automaton (Brink and Howlett, Math. Ann. 296, 1993; Björner and
+Brenti, ch. 4, sections 4.7-4.8).  Let N(w) be the set of positive roots
+that w sends negative, so that v is a right descent of w iff a_v is in
+N(w).  The small roots E are a finite set of positive roots holding every
+simple root, and when l(ws) > l(w), N(ws) ∩ E = {a_s} u (s(N(w) ∩ E) ∩ E).
+So the state N(w) ∩ E, an int whose low bits are the simple roots in vertex
+order, decides every descent; appending r_B to a w with no right descent in
+B sends it to N(r_B) ∩ E together with r_B(b) for each b of the state with
+r_B(b) small, one fixed map per block composed from the letters of r_B.  No
+exact arithmetic runs once E is built.  Before the first witness no
+equality test is needed, as rung (iv) is empty; at a witness the matrix
+scan runs from the start, so the witness, the order and the reason are
+those of the matrix products.  There one sign per column of B decides each
+lookup (``has_right_descent_in``): every product of the scan is a group
+element, whose columns are roots; the replay of a witness reads every sign.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import namedtuple
 
-from .elements import is_compatible, longest_element
+from .elements import is_compatible, longest_element, small_roots
 from .graphs import (
     INFINITY,
     ISOMORPHISM_RANK_LIMIT,
@@ -265,6 +279,16 @@ class AdmissibilityVerdict(namedtuple(
 # -- pair machinery --------------------------------------------------------
 
 
+def _check_bound(bound) -> None:
+    """Refuse a bound that is not an int >= 1, the CLI's ``--bound``
+    minimum (a bool is refused too); each public entry checks its bound
+    once, before any scan."""
+    if isinstance(bound, bool) or not isinstance(bound, int):
+        raise TypeError(f"bound must be an int, not {type(bound).__name__}")
+    if bound < 1:
+        raise ValueError(f"bound must be >= 1, got {bound}")
+
+
 def _isolated_vertex(g: CoxeterGraph, a, b):
     """A vertex of a with only label-2 edges into b, if any."""
     for i in a:
@@ -278,6 +302,7 @@ def pair_order(g: CoxeterGraph, alpha, beta, bound: int = DEFAULT_BOUND):
     exact over a spherical restriction, else a power scan up to the bound
     (None past it).  ``check_pair`` reads the order off its alternating
     scan instead."""
+    _check_bound(bound)
     gr = g.restrict((*alpha, *beta))
     w = longest_element(gr, alpha) * longest_element(gr, beta)
     return w.order(bound)
@@ -313,6 +338,54 @@ def _scan_alternating(gr: CoxeterGraph, alpha, beta, limit: int):
     return alpha_witness or beta_witness, None, None
 
 
+@functools.lru_cache(maxsize=None)
+def _block_step(gr: CoxeterGraph, block: tuple) -> tuple:
+    """(mask, const, images) of appending r_B, B = ``block``, on the
+    small-root states of ``gr``: ``mask`` holds B's vertex bits, and a w with
+    no right descent in B goes from the state D to ``const`` (the state of
+    r_B) together with ``images[k]`` for each bit k of D (``_advance``).
+    r_B's word comes from a greedy ascent on the states themselves: append
+    the least letter of B not yet in the state, until the state covers B."""
+    index = gr._index
+    letters = [(1 << a, tuple(0 if k < 0 else 1 << k for k in image))
+               for a, image in enumerate(small_roots(gr))]
+    mask = sum(1 << index[v] for v in block)
+    state, images = 0, tuple(1 << k for k in range(len(letters[0][1])))
+    while state & mask != mask:
+        free = mask & ~state
+        letter = letters[(free & -free).bit_length() - 1]
+        state = _advance(state, *letter)
+        images = tuple([_advance(x, 0, letter[1]) for x in images])
+    return mask, state, images
+
+
+def _advance(state: int, out: int, images: tuple) -> int:
+    """The small-root state after appending a letter or a block to a w with
+    state ``state`` and no right descent there: the letter's or block's own
+    state ``out`` together with the image of each bit of ``state``."""
+    while state:
+        low = state & -state
+        out |= images[low.bit_length() - 1]
+        state ^= low
+    return out
+
+
+def _scan_small_roots(gr: CoxeterGraph, alpha, beta, limit: int):
+    """``_scan_alternating`` over a non-spherical carrier, on the small-root
+    states of the two words (see the module docstring).  With no witness up
+    to ``limit`` the two products never agree (rung (iv) is empty), so the
+    result is (None, None, None); on any witness it is the matrix scan's,
+    so the witness, order and product are the same."""
+    step_a, step_b = _block_step(gr, alpha), _block_step(gr, beta)
+    state_a, state_b = step_a[1], step_b[1]
+    for n in range(2, limit + 1):
+        next_a, next_b = (step_a, step_b) if n % 2 else (step_b, step_a)
+        if state_a & next_a[0] or state_b & next_b[0]:
+            return _scan_alternating(gr, alpha, beta, limit)
+        state_a, state_b = _advance(state_a, *next_a[1:]), _advance(state_b, *next_b[1:])
+    return None, None, None
+
+
 def _refusal(g: CoxeterGraph, witness, bound: int, pair, reason: str):
     """A not_admissible verdict, once its witness replays from scratch."""
     if not replay_witness(g, witness):
@@ -326,6 +399,7 @@ def check_pair(
     g: CoxeterGraph, alpha, beta, bound: int = DEFAULT_BOUND
 ) -> AdmissibilityVerdict:
     """Decide admissibility of the pair of blocks {alpha, beta}."""
+    _check_bound(bound)
     alpha = tuple(sorted(set(alpha)))
     beta = tuple(sorted(set(beta)))
     if not alpha or not beta or set(alpha) & set(beta):
@@ -362,8 +436,8 @@ def check_pair(
     # for a certificate
     spherical = is_spherical(gr)
     exact = pair_order(gr, alpha, beta) if spherical else None
-    witness, m, product = _scan_alternating(
-        gr, alpha, beta, bound if exact is None else exact)
+    scan = _scan_alternating if spherical else _scan_small_roots
+    witness, m, product = scan(gr, alpha, beta, bound if exact is None else exact)
     if spherical and m != exact:
         raise RuntimeError(f"alternating products of {pair} first agree at"
                            f" {m} factors, not at the order {exact}")
@@ -450,6 +524,7 @@ def _orbits_of(vertices, maps):
 def check_admissible(p: BlockPartition, bound: int = DEFAULT_BOUND) -> AdmissibilityVerdict:
     """Admissibility of a whole partition: a full-partition orbit
     certificate if one applies, otherwise every pair via check_pair."""
+    _check_bound(bound)
     if not is_spherical_partition(p):
         raise ValueError("every block must span a spherical subgraph")
     if len(p.blocks) == 1:
@@ -536,6 +611,7 @@ def partition_type(
     (e.g. a partition certified by a lift), with no search; otherwise one
     pair check decides, a certificate giving infinity, a refusal the order
     up to the bound and an unknown None."""
+    _check_bound(bound)
     if not is_spherical_partition(p):
         raise ValueError("every block must span a spherical subgraph")
     k = len(p.blocks)
@@ -596,6 +672,7 @@ def certify_by_lift(
     inner one is.  This decides cases the direct pair scan cannot reach,
     e.g. when the inner carrier is non-spherical but the lift has enough
     symmetry for an orbit certificate."""
+    _check_bound(bound)
     ov = check_admissible(outer, bound)
     if not ov.is_admissible:
         raise ValueError(f"outer partition must be admissible: {ov.reason}")
@@ -653,6 +730,7 @@ def product_split_check(
     restrictions.  ``factors`` are disjoint vertex sets with no edges
     between them; ``factor_partitions`` gives one (alpha_k, beta_k) pair
     per factor.  The glued pair is (union of alphas, union of betas)."""
+    _check_bound(bound)
     factors = [tuple(sorted(f)) for f in factors]
     if sorted(v for f in factors for v in f) != sorted(g.vertices):
         raise ValueError("factors must partition the vertices")
@@ -719,6 +797,7 @@ def classify_2partitions(
     length filter (blocks are automatically spherical, so both sides are
     diagrammatic), then the full pair check.
     """
+    _check_bound(bound)
     if not (g.is_connected() and is_spherical(g) and g.rank >= 2):
         raise ValueError("classification needs a connected spherical graph of rank >= 2")
     auts = automorphisms(g)

@@ -2,6 +2,7 @@ import doctest
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -359,3 +360,19 @@ def test_integer_coefficients_are_ints():
                    lambda: x * bad, lambda: bad * x):
             with pytest.raises(TypeError):
                 op()
+
+
+def test_a_tuple_on_the_left_of_a_scalar_is_refused():
+    # a scalar is a tuple record, so (1,) + x asks x's __radd__ first;
+    # returning NotImplemented there would let tuple concatenation take x,
+    # and __rsub__ must not negate x - (1,), which names the operands the
+    # wrong way round
+    f = field_for_modulus(12)
+    x = f.generator
+    for op, sign in ((lambda: (1,) + x, "+"), (lambda: () + x, "+"),
+                     (lambda: (1,) - x, "-")):
+        with pytest.raises(TypeError, match=f"for {re.escape(sign)}: 'tuple' and 'ExactScalar'"):
+            op()
+    assert 0 + x == x
+    assert 3 - x == f.scalar((3, -1))
+    assert sum([x, x, x]) == 3 * x

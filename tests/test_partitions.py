@@ -438,3 +438,33 @@ def test_product_split():
     assert rep.factor_orders == (4, 4)
     assert rep.global_order == 4
     assert rep.global_pair == (("1", "3", "4", "6"), ("2", "5"))
+
+
+@pytest.mark.parametrize("bound, error", [
+    (-5, ValueError), (0, ValueError), ("x", TypeError), (2.5, TypeError),
+    (True, TypeError), (None, TypeError)])
+def test_nonsense_bounds_are_refused_at_every_public_call(bound, error):
+    # m(1,2) = 4, m(2,3) = 3, m(1,3) = inf: at the parent of this check,
+    # -5 and 0 gave "unknown", "compatible up to -5 factors"; "x" and 2.5
+    # raised a TypeError from inside the scan that did not name the bound
+    g = parse_graph("edge 1 2 4\nedge 2 3 3\nedge 1 3 inf")
+    p = block_partition(g, [["1"], ["2", "3"]])
+    a3 = named_graph("A3")
+    outer = block_partition(a3, [["1"], ["2"], ["3"]])
+    inner = parse_partition(partition_type(outer).graph(), "1,3/2")
+    split = parse_graph("edge 1 2 3\nedge 2 3 3\nedge 4 5 3\nedge 5 6 3")
+    calls = [
+        lambda: check_pair(g, ["1"], ["2", "3"], bound),
+        lambda: check_admissible(p, bound),
+        lambda: partition_type(p, bound),
+        lambda: pair_order(g, ["1"], ["2", "3"], bound),
+        lambda: certify_by_lift(outer, inner, bound),
+        lambda: product_split_check(split, [("1", "2", "3"), ("4", "5", "6")],
+                                    [[["1", "3"], ["2"]], [["4", "6"], ["5"]]], bound),
+        lambda: classify_2partitions(a3, bound),
+    ]
+    for call in calls:
+        with pytest.raises(error, match="bound"):
+            call()
+    # the least bound the CLI takes is a bound here too
+    assert check_pair(g, ["1"], ["2", "3"], 1).outcome == "unknown"
