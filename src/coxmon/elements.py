@@ -12,10 +12,12 @@ a_j + 2 cos(pi/m_{ij}) a_i for j != i, and a_i to -a_i.
   ``bytes``, padded to 256 entries with the identity, so that
   ``bytes.translate`` composes two permutations and ``bytes.maketrans``
   inverts one in C; larger root systems keep tuples, composed through
-  ``operator.itemgetter``.  ``root_system`` picks the form once per graph,
-  from the root count, and hands the element code the operations of that
-  form.  The length of w is the number of positive roots sent to negative
-  roots, and v is a right descent exactly when w sends a_v to a negative
+  ``operator.itemgetter``.  ``root_system`` reads the tables off
+  ``small_roots``, whose breadth-first order puts the simple roots first,
+  picks the form once per graph, from the root count, and hands the element
+  code the operations of that form.  The length of w is the number of
+  positive roots sent to negative roots, and the vertex at index a is a
+  right descent exactly when w sends root a, its simple root, to a negative
   root.
 
 * Any graph: ``MatrixElement`` stores the representation matrix with
@@ -29,9 +31,7 @@ a_j + 2 cos(pi/m_{ij}) a_i for j != i, and a_i to -a_i.
   mod Psi_N once (``CosField.dot``).  A generator is a descent exactly when
   its column is nonpositive.  ``right_mask`` reads the sign of every entry,
   so it also refuses a zero or mixed-sign column, which no group element
-  has; ``has_right_descent_in`` asks only whether some vertex of a mask is a
-  descent, and reads one sign per masked column, that of its first nonzero
-  entry, which decides the column of a group element.
+  has.
 
 The longest element r_J of a spherical parabolic is built once per graph and
 set J, and shared by every caller.
@@ -98,21 +98,22 @@ def _cos_rows(g: CoxeterGraph) -> tuple:
 
 
 class RootSystem(namedtuple(
-        "RootSystem", "n_positive simple_index action rmul identity translate inverse length")):
+        "RootSystem", "n_positive action rmul identity translate inverse length")):
     """Permutation tables of the finite root system of a spherical graph;
-    root r < P is the r-th sorted positive root, root r + P its negation.
+    root r < P is the r-th positive root in the breadth-first order of
+    ``small_roots``, whose first roots are the simple roots in vertex order,
+    and root r + P is its negation.
 
     A permutation is a ``bytes`` table padded to 256 entries with the
     identity when 2P <= 256, and a tuple of the 2P images otherwise.
-    ``simple_index[a]`` is the root index of the simple root of vertex
-    ``graph.vertices[a]``, ``action[a]`` is the permutation of the
-    generator at vertex index a (``action[a][r]`` is the index of
-    s_{v_a}(root r)), ``rmul[a](perm)`` is perm composed with ``action[a]``
-    (right multiplication by that generator), and ``identity`` is the
-    identity permutation.  The three other fields are the operations of
-    the table form: ``translate(p, q)`` is the permutation r -> q[p[r]] of
-    the product q * p, ``inverse(perm)`` the inverse permutation and
-    ``length(perm)`` the number of positive roots sent to negative roots."""
+    ``action[a]`` is the permutation of the generator at vertex index a
+    (``action[a][r]`` is the index of s_{v_a}(root r)), ``rmul[a](perm)`` is
+    perm composed with ``action[a]`` (right multiplication by that
+    generator), and ``identity`` is the identity permutation.  The three
+    other fields are the operations of the table form: ``translate(p, q)``
+    is the permutation r -> q[p[r]] of the product q * p, ``inverse(perm)``
+    the inverse permutation and ``length(perm)`` the number of positive
+    roots sent to negative roots."""
 
     __slots__ = ()
 
@@ -127,49 +128,27 @@ def _reflect(cos_row, a: int, vec):
     return vec[:a] + (new_a,) + vec[a + 1:]
 
 
-def _simple_roots(g: CoxeterGraph) -> list:
-    """The simple roots as coordinate vectors, in vertex order."""
-    field = field_for_modulus(g.modulus)
-    return [tuple(field.one if r == c else field.zero for c in range(g.rank))
-            for r in range(g.rank)]
-
-
 @functools.lru_cache(maxsize=None)
 def root_system(g: CoxeterGraph) -> RootSystem:
-    """The positive roots as the closure of the simple roots under the
-    reflections: s_a sends a_a to -a_a and permutes the other positive
-    roots (Humphreys, Reflection Groups and Coxeter Groups, Prop. 1.4), so
-    each image is computed once and no sign test is needed.  The tables are
-    256-byte ``bytes`` when 2P <= 256 and tuples otherwise."""
+    """The permutation tables of the positive roots, read off the index maps
+    of ``small_roots``: over a spherical graph every positive root is small,
+    and s_a sends a_a to -a_a and permutes the other positive roots
+    (Humphreys, Reflection Groups and Coxeter Groups, Prop. 1.4), so -1
+    stands in ``maps[a]`` at root a alone.  The tables are 256-byte
+    ``bytes`` when 2P <= 256 and tuples otherwise."""
     if not is_spherical(g):
         raise ValueError("root_system needs a spherical graph")
-    rows = _cos_rows(g)
-    roots = _simple_roots(g)
-    found = {v: k for k, v in enumerate(roots)}
-    images = []  # images[k][a] = found index of s_a(root k); None for -a_a
-    for k, vec in enumerate(roots):  # roots grows while it is scanned
-        row = []
-        for a, cos_row in enumerate(rows):
-            img = _reflect(cos_row, a, vec) if k != a else None
-            if img is not None and img not in found:
-                found[img] = len(roots)
-                roots.append(img)
-            row.append(found.get(img))
-        images.append(row)
-    P = len(roots)
+    maps = small_roots(g)
+    P = len(maps[0]) if maps else 0
     if P != positive_root_count(g):
         raise RuntimeError(f"{P} positive roots, against {positive_root_count(g)}")
-    order = sorted(range(P), key=lambda k: tuple(c.coeffs for c in roots[k]))
-    pos = {k: r for r, k in enumerate(order)}
     action = []
-    for a in range(g.rank):
-        half = [r + P if images[k][a] is None else pos[images[k][a]]
-                for r, k in enumerate(order)]
+    for a, images in enumerate(maps):
+        half = [a + P if x < 0 else x for x in images]
         action.append(half + [(x + P) % (2 * P) for x in half])
-    simple_index = tuple(pos[a] for a in range(g.rank))
     if 2 * P <= 256:
-        return _byte_root_system(P, simple_index, action)
-    return _tuple_root_system(P, simple_index, action)
+        return _byte_root_system(P, action)
+    return _tuple_root_system(P, action)
 
 
 @functools.lru_cache(maxsize=None)
@@ -187,7 +166,9 @@ def small_roots(g: CoxeterGraph) -> tuple:
     here s_a(b) = b - 2 B(a_a, b) a_a.  Over a spherical graph E is every
     positive root."""
     rows = _cos_rows(g)
-    roots = _simple_roots(g)
+    field = field_for_modulus(g.modulus)
+    roots = [tuple(field.one if r == c else field.zero for c in range(g.rank))
+             for r in range(g.rank)]
     found = {v: k for k, v in enumerate(roots)}
     images = []  # images[k][a] = s_a(root k), looked up once E is whole
     for k, vec in enumerate(roots):  # roots grows while it is scanned
@@ -211,7 +192,7 @@ def _byte_inverse(perm: bytes) -> bytes:
     return bytes.maketrans(perm, _BYTE_IDENTITY)
 
 
-def _byte_root_system(P: int, simple_index: tuple, action: list) -> RootSystem:
+def _byte_root_system(P: int, action: list) -> RootSystem:
     """Permutations as 256-byte tables: ``q.translate(p)`` reads q through
     p, and the padding past 2P is fixed by every table."""
     action = tuple(bytes(row) + _BYTE_IDENTITY[2 * P:] for row in action)
@@ -220,7 +201,7 @@ def _byte_root_system(P: int, simple_index: tuple, action: list) -> RootSystem:
     def length(perm: bytes) -> int:
         return perm[:P].translate(negative).count(1)
 
-    return RootSystem(P, simple_index, action, tuple(row.translate for row in action),
+    return RootSystem(P, action, tuple(row.translate for row in action),
                       _BYTE_IDENTITY, bytes.translate, _byte_inverse, length)
 
 
@@ -235,14 +216,14 @@ def _tuple_inverse(perm: tuple) -> tuple:
     return tuple(inv)
 
 
-def _tuple_root_system(P: int, simple_index: tuple, action: list) -> RootSystem:
+def _tuple_root_system(P: int, action: list) -> RootSystem:
     """Permutations as tuples of the 2P images, for more than 256 roots."""
     action = tuple(tuple(row) for row in action)
 
     def length(perm: tuple) -> int:
         return sum(1 for r in range(P) if perm[r] >= P)
 
-    return RootSystem(P, simple_index, action, tuple(itemgetter(*row) for row in action),
+    return RootSystem(P, action, tuple(itemgetter(*row) for row in action),
                       tuple(range(2 * P)), _tuple_translate, _tuple_inverse, length)
 
 
@@ -312,11 +293,6 @@ class _Element:
     def left_mask(self) -> int:
         return self.inverse.right_mask
 
-    def has_right_descent_in(self, mask: int) -> bool:
-        """Whether some vertex of the int bitmask ``mask`` is a right
-        descent."""
-        return bool(self.right_mask & mask)
-
     @_cached
     def right_descents(self) -> frozenset:
         return _mask_set(self.graph, self.right_mask)
@@ -331,9 +307,9 @@ class _Element:
 
 def _perm_mask(rs: RootSystem):
     """The right descent mask of a permutation: bit a is set when it sends
-    the simple root of vertex a to a negative root."""
+    root a, the simple root of vertex a, to a negative root."""
     P = rs.n_positive
-    bits = tuple((1 << a, r) for a, r in enumerate(rs.simple_index))
+    bits = tuple((1 << a, a) for a in range(len(rs.action)))
 
     def mask(perm) -> int:
         m = 0
@@ -504,24 +480,6 @@ class MatrixElement(_Element, namedtuple("MatrixElement", "graph matrix")):
     @property
     def is_identity(self) -> bool:
         return self.matrix == self.kernel.one
-
-    def has_right_descent_in(self, mask: int) -> bool:
-        """One sign per masked column: the column of a group element is a
-        root, so the sign of its first nonzero entry is the sign of every
-        entry.  Unlike ``right_mask``, which reads every entry, this cannot
-        tell a mixed-sign column; a zero column still raises."""
-        rows = self.matrix
-        while mask:
-            j = (mask & -mask).bit_length() - 1
-            for row in rows:
-                if row[j]:
-                    if row[j].sign() < 0:
-                        return True
-                    break
-            else:
-                raise ValueError(f"zero column {self.graph.vertices[j]}: not a group element")
-            mask &= mask - 1
-        return False
 
     @_cached
     def length(self) -> int:

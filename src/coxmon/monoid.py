@@ -342,7 +342,9 @@ def reverse_complement(g: CoxeterGraph, u, v, step_bound: int | None = None):
     alternating word of length m_{ab} - 1 beginning with b (empty if
     a = b).  When no negative-positive pair remains, the word reads
     (u\\v)(v\\u)^{-1}.  Raises StepBudgetExceeded after step_bound steps
-    (default: ``default_step_bound(g)``), ValueError on a non-vertex letter.
+    (default: ``default_step_bound(g)``), ValueError on a non-vertex letter,
+    and TypeError or ValueError on a step_bound that is not an int >= 1
+    (a bool included), checked once before the first step.
 
     Left of the leftmost negative-positive pair the word is settled:
     positive letters, then negative ones.  A rewrite at position k keeps
@@ -359,6 +361,10 @@ def reverse_complement(g: CoxeterGraph, u, v, step_bound: int | None = None):
     """
     if step_bound is None:
         step_bound = default_step_bound(g)
+    elif isinstance(step_bound, bool) or not isinstance(step_bound, int):
+        raise TypeError(f"step_bound must be an int, not {type(step_bound).__name__}")
+    elif step_bound < 1:
+        raise ValueError(f"step_bound must be >= 1, got {step_bound}")
     index = g._index
     push = _push_table(g)
     pos = []

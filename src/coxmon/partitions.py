@@ -25,12 +25,14 @@ partition reduces to admissibility of each pair of blocks.
         witness, and full success is only an "Unknown" unless a
         certificate applies.
 
-The scan of (iii) and (v) finds m on its way.  Let P_n(a) and P_n(b) be the
-alternating products of n factors starting with r_a and with r_b, and
-w = r_a r_b.  Then P_n(a) = P_n(b) exactly when m divides n: for n = 2k
-they are w^k and w^-k, and for n = 2k+1 they are w^k r_a and w^-k r_b,
-equal iff w^(2k+1) = 1.  So both words are built in lockstep, one factor
-each per step, and the first n at which they agree is m.
+The order m comes from ``pair_order``, over an infinite carrier only
+behind a failure.  Let P_n(a) and P_n(b) be the alternating products of n
+factors starting with r_a and with r_b, and w = r_a r_b.  Then P_n(a) =
+P_n(b) exactly when m divides n: for n = 2k they are w^k and w^-k, and for
+n = 2k+1 they are w^k r_a and w^-k r_b, equal iff w^(2k+1) = 1.  So the
+words are scanned up to m, where they agree (or to the bound, with no
+order within it), and a witness is the first failure of the alpha word up
+to there, else that of the beta word.
 
 Why (iv) is empty.  Suppose the scan over the carrier J = a u b ends with
 P_m(a) = P_m(b) =: x and no witness.  Both words are length-additive, so x
@@ -38,9 +40,9 @@ is r_a times a reduced tail and r_b times a reduced tail, and every vertex
 of a and of b is a left descent of x.  The scan runs in W_J, so x is an
 element of W_J with every generator as a left descent, and only a finite
 Coxeter group has one (Björner and Brenti, *Combinatorics of Coxeter
-Groups*, ch. 2).  So J is spherical.  A refusal over an infinite carrier
-may still find a finite order (the scan runs on to the bound after an
-alpha witness): over G~2 (labels 3, 6), blocks {1, 2} and {3} give 6.
+Groups*, ch. 2).  So J is spherical.  A refused pair over an infinite
+carrier may still have a finite order: over G~2 (labels 3, 6), blocks
+{1, 2} and {3}, refused by rung (ii), give 6.
 
 Certificates that upgrade Unknown to Admissible: the pair/partition equals
 the orbit partition of the subgroup of graph automorphisms stabilizing its
@@ -50,23 +52,19 @@ always carries a replayable incompatible-word witness.
 
 Compatibility is checked stepwise: appending r_B to w is length-additive
 exactly when no right descent of w lies in B (w is then minimal in its
-coset w W_B), so a full alternating scan needs only descent lookups.  A
-spherical carrier scans root permutations.  A non-spherical one scans the
-small-root automaton (Brink and Howlett, Math. Ann. 296, 1993; Björner and
-Brenti, ch. 4, sections 4.7-4.8).  Let N(w) be the set of positive roots
-that w sends negative, so that v is a right descent of w iff a_v is in
-N(w).  The small roots E are a finite set of positive roots holding every
-simple root, and when l(ws) > l(w), N(ws) ∩ E = {a_s} u (s(N(w) ∩ E) ∩ E).
-So the state N(w) ∩ E, an int whose low bits are the simple roots in vertex
-order, decides every descent; appending r_B to a w with no right descent in
-B sends it to N(r_B) ∩ E together with r_B(b) for each b of the state with
-r_B(b) small, one fixed map per block composed from the letters of r_B.  No
-exact arithmetic runs once E is built.  Before the first witness no
-equality test is needed, as rung (iv) is empty; at a witness the matrix
-scan runs from the start, so the witness, the order and the reason are
-those of the matrix products.  There one sign per column of B decides each
-lookup (``has_right_descent_in``): every product of the scan is a group
-element, whose columns are roots; the replay of a witness reads every sign.
+coset w W_B), so a full alternating scan needs only descent lookups, which
+it makes on the small-root automaton (Brink and Howlett, Math. Ann. 296,
+1993; Björner and Brenti, ch. 4, sections 4.7-4.8) over every carrier.
+Let N(w) be the set of positive roots that w sends negative, so that v is
+a right descent of w iff a_v is in N(w).  The small roots E are a finite
+set of positive roots holding every simple root, and when l(ws) > l(w),
+N(ws) ∩ E = {a_s} u (s(N(w) ∩ E) ∩ E).  So the state N(w) ∩ E, an int
+whose low bits are the simple roots in vertex order, decides every
+descent; appending r_B to a w with no right descent in B sends it to
+N(r_B) ∩ E together with r_B(b) for each b of the state with r_B(b) small,
+one fixed map per block composed from the letters of r_B.  No exact
+arithmetic runs once E is built.  Over a spherical carrier E is every
+positive root, and only the longest element has all of E as its state.
 """
 
 from __future__ import annotations
@@ -297,45 +295,33 @@ def _isolated_vertex(g: CoxeterGraph, a, b):
     return None
 
 
+def _check_blocks(g: CoxeterGraph, alpha, beta) -> tuple:
+    """The blocks as sorted tuples, once they are disjoint and nonempty sets
+    of vertices of g that span spherical subgraphs; checked once per call."""
+    for v in (*alpha, *beta):
+        if v not in g._index:
+            raise ValueError(f"{v!r} is not a vertex")
+    alpha, beta = tuple(sorted(set(alpha))), tuple(sorted(set(beta)))
+    if not alpha or not beta or set(alpha) & set(beta):
+        raise ValueError("blocks must be disjoint and nonempty")
+    for b in (alpha, beta):
+        if not is_spherical(g.restrict(b)):
+            raise ValueError(f"block {b} does not span a spherical subgraph")
+    return alpha, beta
+
+
 def pair_order(g: CoxeterGraph, alpha, beta, bound: int = DEFAULT_BOUND):
-    """Order of r_alpha r_beta, for callers that need the order alone:
-    exact over a spherical restriction, else a power scan up to the bound
-    (None past it).  ``check_pair`` reads the order off its alternating
-    scan instead."""
+    """Order of r_alpha r_beta: exact over a spherical restriction (from
+    the cycles of its root permutation), else a power scan up to the bound
+    (None past it)."""
     _check_bound(bound)
-    gr = g.restrict((*alpha, *beta))
-    w = longest_element(gr, alpha) * longest_element(gr, beta)
-    return w.order(bound)
+    alpha, beta = _check_blocks(g, alpha, beta)
+    return _pair_order(g.restrict(alpha + beta), alpha, beta, bound)
 
 
-def _scan_alternating(gr: CoxeterGraph, alpha, beta, limit: int):
-    """Build both alternating words in lockstep, up to ``limit`` factors.
-
-    Returns (witness, m, product).  The scan stops at the first n <= limit
-    where the two products agree, which is the order m, with product P_m;
-    m and product are None when they do not agree within the limit.  The
-    witness is the first failure of the alpha word, the preferred one, else
-    the first failure of the beta word, else None; once the alpha word has
-    failed, the products are still multiplied but no descent is tested.
-    """
-    index = gr._index
-    mask_a = sum(1 << index[v] for v in alpha)
-    mask_b = sum(1 << index[v] for v in beta)
-    ra, rb = longest_element(gr, alpha), longest_element(gr, beta)
-    pa, pb = ra, rb
-    alpha_witness = beta_witness = None
-    for n in range(2, limit + 1):
-        odd = n % 2
-        # l(w r_B) = l(w) + l(r_B) iff w has no right descent in B
-        if alpha_witness is None:
-            if pa.has_right_descent_in(mask_a if odd else mask_b):
-                alpha_witness = IncompatibleWord(alpha, beta, n, "alpha")
-            elif beta_witness is None and pb.has_right_descent_in(mask_b if odd else mask_a):
-                beta_witness = IncompatibleWord(alpha, beta, n, "beta")
-        pa, pb = (pa * ra, pb * rb) if odd else (pa * rb, pb * ra)
-        if pa == pb:
-            return alpha_witness or beta_witness, n, pa
-    return alpha_witness or beta_witness, None, None
+def _pair_order(gr: CoxeterGraph, alpha, beta, bound: int):
+    """``pair_order`` over the carrier gr, for blocks already checked."""
+    return (longest_element(gr, alpha) * longest_element(gr, beta)).order(bound)
 
 
 @functools.lru_cache(maxsize=None)
@@ -370,20 +356,26 @@ def _advance(state: int, out: int, images: tuple) -> int:
     return out
 
 
-def _scan_small_roots(gr: CoxeterGraph, alpha, beta, limit: int):
-    """``_scan_alternating`` over a non-spherical carrier, on the small-root
-    states of the two words (see the module docstring).  With no witness up
-    to ``limit`` the two products never agree (rung (iv) is empty), so the
-    result is (None, None, None); on any witness it is the matrix scan's,
-    so the witness, order and product are the same."""
+def _scan_alternating(gr: CoxeterGraph, alpha, beta, limit: int):
+    """Both alternating words on their small-root states, up to ``limit``
+    factors: (n_alpha, n_beta, w0).  n_alpha is the first length at which
+    the word starting with alpha fails, where the scan stops, and n_beta
+    that of the beta word if it fails first; None for a word that does not
+    fail.  The alpha word fails by the next factor, as P_(n+1)(a) =
+    r_a P_n(b), so no beta state past the beta word's failure decides
+    anything.  w0 says whether both states are all of E at ``limit``, which
+    over a spherical carrier is the state of the longest element."""
     step_a, step_b = _block_step(gr, alpha), _block_step(gr, beta)
     state_a, state_b = step_a[1], step_b[1]
+    n_beta = None
     for n in range(2, limit + 1):
         next_a, next_b = (step_a, step_b) if n % 2 else (step_b, step_a)
-        if state_a & next_a[0] or state_b & next_b[0]:
-            return _scan_alternating(gr, alpha, beta, limit)
+        if state_a & next_a[0]:
+            return n, n_beta, False
+        if state_b & next_b[0]:
+            n_beta = n
         state_a, state_b = _advance(state_a, *next_a[1:]), _advance(state_b, *next_b[1:])
-    return None, None, None
+    return None, n_beta, state_a == state_b == (1 << len(step_a[2])) - 1
 
 
 def _refusal(g: CoxeterGraph, witness, bound: int, pair, reason: str):
@@ -400,15 +392,9 @@ def check_pair(
 ) -> AdmissibilityVerdict:
     """Decide admissibility of the pair of blocks {alpha, beta}."""
     _check_bound(bound)
-    alpha = tuple(sorted(set(alpha)))
-    beta = tuple(sorted(set(beta)))
-    if not alpha or not beta or set(alpha) & set(beta):
-        raise ValueError("blocks must be disjoint and nonempty")
+    alpha, beta = _check_blocks(g, alpha, beta)
     pair = (alpha, beta)
     gr = g.restrict(alpha + beta)
-    for b in (alpha, beta):
-        if not is_spherical(gr.restrict(b)):
-            raise ValueError(f"block {b} does not span a spherical subgraph")
 
     # (i) direct product: r_a and r_b commute, order 2, trivially admissible
     if is_direct_product(gr, (alpha, beta)):
@@ -431,27 +417,26 @@ def check_pair(
                 f"vertex {i0} has only label-2 edges into the other block",
             )
 
-    # (iii) the order over a spherical carrier is exact, and the scan must
-    # meet it; (v) over an infinite one it runs to the bound, then looks
-    # for a certificate
+    # (iii) over a spherical carrier the scan runs to the exact order; (v)
+    # over an infinite one to the bound, with the order sought behind a failure
     spherical = is_spherical(gr)
-    exact = pair_order(gr, alpha, beta) if spherical else None
-    scan = _scan_alternating if spherical else _scan_small_roots
-    witness, m, product = scan(gr, alpha, beta, bound if exact is None else exact)
-    if spherical and m != exact:
-        raise RuntimeError(f"alternating products of {pair} first agree at"
-                           f" {m} factors, not at the order {exact}")
-    if witness is not None:
-        order = "" if m is None else f" (order of r_a r_b is {m})"
-        return _refusal(
-            g, witness, bound, pair,
-            f"alternating word of length {witness.n} is incompatible{order}",
-        )
+    m = _pair_order(gr, alpha, beta, bound) if spherical else None
+    n_alpha, n_beta, w0 = _scan_alternating(gr, alpha, beta, m or bound)
+    if not spherical and (n_alpha or n_beta):
+        m = _pair_order(gr, alpha, beta, bound)
+    # the scanned words end at m factors, where the two products agree
+    for first, n in (("alpha", n_alpha), ("beta", n_beta)):
+        if n is not None and n <= (m or bound):
+            order = "" if m is None else f" (order of r_a r_b is {m})"
+            return _refusal(
+                g, IncompatibleWord(alpha, beta, n, first), bound, pair,
+                f"alternating word of length {n} is incompatible{order}",
+            )
     if m is not None:
         # every vertex of the carrier is a left descent of the compatible
         # products of m factors, so they are its longest element (and the
         # carrier is spherical: rung (iv) is empty)
-        if not spherical or product != longest_element(gr):
+        if not (spherical and w0):
             raise RuntimeError(f"alternating products of {pair} are not w0")
         return AdmissibilityVerdict(
             "admissible",

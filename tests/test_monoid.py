@@ -119,6 +119,22 @@ def test_step_budget():
         lcm(x, y, step_bound=500)
 
 
+@pytest.mark.parametrize("bad, error", [
+    (-1, ValueError), (0, ValueError), (2.5, TypeError), (True, TypeError), ("3", TypeError)])
+def test_nonsense_step_bounds_are_refused(bad, error):
+    # at the parent of this check, -1 and 0 raised StepBudgetExceeded, which
+    # reads as "undecided", and 2.5 and True were taken as budgets
+    g = named_graph("A3")
+    x, y = braid_from_word(g, "1"), braid_from_word(g, "2")
+    for call in (lambda: lcm(x, y, step_bound=bad), lambda: lcm(x, y, "left", bad),
+                 lambda: reverse_complement(g, "1", "2", bad)):
+        with pytest.raises(error, match="step_bound"):
+            call()
+    # the least budget the CLI takes is a budget here too
+    assert lcm(x, y, step_bound=1) == braid_from_word(g, "121")
+    assert reverse_complement(g, "1", "2", None) == (("2", "1"), ("1", "2"))
+
+
 def test_lcm_atoms_is_the_lifted_longest_element():
     g = named_graph("B3")
     z = lcm_atoms(g, ("2", "3"))
@@ -290,10 +306,12 @@ def test_reversing_matches_the_rescanning_loop():
                 with pytest.raises(StepBudgetExceeded):
                     reverse_complement(g, u, v, cap)
                 continue
-            assert reverse_complement(g, u, v, n) == expected, (g, u, v)
+            # the least budget reverse_complement takes is 1
+            assert reverse_complement(g, u, v, max(n, 1)) == expected, (g, u, v)
             if n:
                 with pytest.raises(StepBudgetExceeded):
                     reverse_rescanning(g, u, v, n - 1)
+            if n > 1:
                 with pytest.raises(StepBudgetExceeded):
                     reverse_complement(g, u, v, n - 1)
 

@@ -4,12 +4,15 @@
 The copies below find the order m of r_a r_b first, by a power scan of
 w = r_a r_b (not cut off over a spherical carrier, where w has finite
 order), and then scan the alternating word starting with r_a up to m (or
-the bound), and only then the word starting with r_b.  Production builds
-both words in lockstep and reads m off the first length at which they
-agree, so agreement of whole verdicts (outcome, reason, witness,
-certificate) is a check of the lockstep scan: of its order, of the
-preference for a witness starting with alpha, and of the order quoted in a
-refusal.
+the bound), and only then the word starting with r_b, on matrix or
+permutation products built one letter at a time.  Production scans both
+words at once on their small-root states, to the exact order over a
+spherical carrier and to the bound over an infinite one, and seeks the
+order over an infinite carrier only behind a failure; a failure counts
+only up to that order.  So agreement of whole verdicts (outcome, reason,
+witness, certificate) checks the automaton's descents, the length each
+scan runs to, the preference for a witness starting with alpha, and the
+order quoted in a refusal.
 
 The graphs are seeded random graphs of rank 4 (so every pair of disjoint
 blocks of rank <= 4 occurs as a carrier), labels from {2, ..., 6, inf}.

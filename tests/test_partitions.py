@@ -78,6 +78,26 @@ def test_pair_order_small_cases():
     assert pair_order(inf_g, ("1",), ("2",), bound=50) is None
 
 
+def test_pair_order_and_check_pair_refuse_bad_blocks():
+    # one block check serves both: vertices first, before any sorting, then
+    # disjoint nonempty blocks, then spherical ones; at the parent of this
+    # check pair_order(A3, ["1"], ["1"]) gave 1, and a vertex that is not a
+    # str raised a TypeError from sorting
+    g = named_graph("A3")
+    h = parse_graph("edge 1 2 inf\nedge 2 3 3")
+    for call in (pair_order, check_pair):
+        for a, b in ((["1"], ["1"]), (["1", "2"], ["2", "3"]), ([], ["1"]), (["1"], [])):
+            with pytest.raises(ValueError, match="blocks must be disjoint and nonempty"):
+                call(g, a, b)
+        for a, b, bad in ((["1"], [2], "2"), (["9"], ["1"], "'9'"), (["1"], ["1", 2], "2")):
+            with pytest.raises(ValueError, match=f"{bad} is not a vertex"):
+                call(g, a, b)
+        with pytest.raises(ValueError, match=r"block \('1', '2'\) does not span a spherical"):
+            call(h, ["1", "2"], ["3"])
+    # repeated vertices within a block are one vertex
+    assert pair_order(g, ["1", "1", "3"], ["2"]) == 4
+
+
 def test_check_pair_admissible_with_finite_certificate():
     g = named_graph("A3")
     v = check_pair(g, ("1", "3"), ("2",))

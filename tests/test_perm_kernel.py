@@ -32,7 +32,6 @@ class TupleKernel:
         self.P = P = rs.n_positive
         self.action = [tuple(row[:2 * P]) for row in rs.action]
         self.getters = [itemgetter(*row) for row in self.action]
-        self.simple = rs.simple_index
         self.vertices = g.vertices
         self.identity = tuple(range(2 * P))
 
@@ -53,7 +52,8 @@ class TupleKernel:
         return tuple(inv)
 
     def mask(self, perm):
-        return sum(1 << a for a, r in enumerate(self.simple) if perm[r] >= self.P)
+        # root a is the simple root of vertex a
+        return sum(1 << a for a in range(len(self.vertices)) if perm[a] >= self.P)
 
     def length(self, perm):
         return sum(1 for r in range(self.P) if perm[r] >= self.P)

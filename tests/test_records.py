@@ -43,7 +43,7 @@ from coxmon.partitions import (
 
 G = named_graph("A2")
 RS = root_system(G)
-RS_FIELDS = (RS.n_positive, RS.simple_index, RS.action, RS.rmul, RS.identity,
+RS_FIELDS = (RS.n_positive, RS.action, RS.rmul, RS.identity,
              RS.translate, RS.inverse, RS.length)
 S1 = element_from_word(G, ["1"])
 F5 = field_for_modulus(5)
@@ -60,7 +60,7 @@ RECORDS = [
     (SphericalType, "family param", ("A", 2)),
     (CosField, "modulus psi", (5, (-1, -1, 1))),
     (ExactScalar, "field coeffs", (F5, (1, -1))),
-    (RootSystem, "n_positive simple_index action rmul identity translate inverse length",
+    (RootSystem, "n_positive action rmul identity translate inverse length",
      RS_FIELDS),
     (Kernel, "mask rmul inverse element one fuse", tuple(kernel(G, "perm"))),
     (RootPermElement, "graph perm rs", (G, S1.perm, RS)),

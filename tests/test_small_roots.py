@@ -1,12 +1,13 @@
 """The small-root automaton of ``check_pair`` against routes that share
 none of it.
 
-Over a non-spherical carrier the alternating scan keeps, per word w, the
-set N(w) ∩ E of small roots that w sends negative, as an int; the simple
-bits are the right descents of w (``elements.small_roots``,
-``partitions._scan_small_roots``).  Checked here against the positive-root
-count of spherical graphs, the descent masks of matrix elements, and the
-matrix scan itself.
+The alternating scan keeps, per word w, the set N(w) ∩ E of small roots
+that w sends negative, as an int; the simple bits are the right descents of
+w (``elements.small_roots``, ``partitions._scan_alternating``).  Checked
+here against the positive-root count of spherical graphs, the descent
+masks of matrix elements, and whole verdicts of the order-first reference
+route of ``test_pair_routes``, which builds matrix products letter by
+letter.
 
 The automaton is also a second route for orbit certificates: the triple
 (parity, alpha state, beta state) decides every later step of both words,
@@ -14,6 +15,7 @@ so a repeat before any witness means both words are compatible at every
 length, which is what an admissible pair over an infinite carrier needs.
 """
 
+import collections
 import contextlib
 import itertools
 import json
@@ -34,15 +36,12 @@ from coxmon import (
     parse_graph,
     replay_witness,
 )
+from coxmon import partitions
 from coxmon.elements import identity_element, small_roots
 from coxmon.graphs import positive_root_count
-from coxmon.partitions import (
-    _advance,
-    _block_step,
-    _scan_alternating,
-    _scan_small_roots,
-)
-from test_pair_routes import SEEDS, block_pairs, seeded_graph
+from coxmon.partitions import _advance, _block_step
+import test_pair_routes
+from test_pair_routes import SEEDS, block_pairs, ref_check_pair, seeded_graph
 
 LABELS = [2, 3, 4, 5, 6, INFINITY]
 POOL = pathlib.Path(__file__).parent.parent / "perfbench/reference/admit-nonspherical.json"
@@ -116,9 +115,14 @@ def test_simple_bits_of_the_state_are_the_matrix_descents():
     assert steps >= 500
 
 
-def test_the_automaton_scan_agrees_with_the_matrix_scan():
+def test_the_automaton_scan_agrees_with_the_matrix_scan(monkeypatch):
+    # rung (ii) is bypassed in both routes, so that the scan meets the
+    # pairs it would refuse at length 3, and some of them quote a finite
+    # order over a non-spherical carrier
+    for module in (partitions, test_pair_routes):
+        monkeypatch.setattr(module, "_isolated_vertex", lambda g, a, b: None)
     rng = random.Random(11)
-    outcomes = {"witness": 0, "none": 0}
+    outcomes = collections.Counter()
     for _ in range(800):
         g = nonspherical_graph(rng)
         vs = list(g.vertices)
@@ -128,11 +132,21 @@ def test_the_automaton_scan_agrees_with_the_matrix_scan():
         gr = g.restrict(alpha + beta)
         if is_spherical(gr) or not all(is_spherical(gr.restrict(b)) for b in (alpha, beta)):
             continue
-        got = _scan_small_roots(gr, alpha, beta, 16)
-        assert got == _scan_alternating(gr, alpha, beta, 16), (g, alpha, beta)
-        outcomes["none" if got[0] is None else "witness"] += 1
-    # both branches of the scan are met
-    assert min(outcomes.values()) >= 30, outcomes
+        got = check_pair(g, alpha, beta, 16)
+        assert got == ref_check_pair(g, alpha, beta, 16), (g, alpha, beta)
+        # the scan ends one factor after the beta word fails, through the
+        # alpha word, as P_(n+1)(a) = r_a P_n(b), or at the limit
+        n_alpha, n_beta, _ = partitions._scan_alternating(gr, alpha, beta, 16)
+        assert n_beta in (None, 16) or n_alpha == n_beta + 1, (g, alpha, beta)
+        outcomes["beta word fails first"] += n_beta is not None
+        if got.witness is None:
+            outcomes["not refused"] += 1
+        else:
+            outcomes[got.witness.first, "order" in got.reason] += 1
+    # both branches of the scan are met, and refusals that quote an order
+    # found only behind the witness
+    assert outcomes["not refused"] >= 30 and outcomes["alpha", False] >= 30, outcomes
+    assert outcomes["alpha", True] >= 3 and outcomes["beta word fails first"] >= 10, outcomes
 
 
 def test_a_scan_witness_over_an_infinite_carrier():
