@@ -170,6 +170,7 @@ def small_roots(g: CoxeterGraph) -> tuple:
     roots = [tuple(field.one if r == c else field.zero for c in range(g.rank))
              for r in range(g.rank)]
     found = {v: k for k, v in enumerate(roots)}
+    spherical = positive_root_count(g) is not None  # every positive root is small
     images = []  # images[k][a] = s_a(root k), looked up once E is whole
     for k, vec in enumerate(roots):  # roots grows while it is scanned
         row = []
@@ -177,7 +178,7 @@ def small_roots(g: CoxeterGraph) -> tuple:
             img = _reflect(cos_row, a, vec)
             if k != a and img not in found:  # s_a(a_a) = -a_a
                 rise = img[a] - vec[a]
-                if rise.sign() > 0 and (rise - 2).sign() < 0:
+                if rise.sign() > 0 and (spherical or (rise - 2).sign() < 0):
                     found[img] = len(roots)
                     roots.append(img)
             row.append(img)

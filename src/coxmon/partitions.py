@@ -9,7 +9,10 @@ and every n, the alternating products r_a r_b r_a ... of n factors must
 have length equal to the sum of the factor lengths.  Admissibility of a
 partition reduces to admissibility of each pair of blocks.
 
-``check_pair`` decides a pair through a ladder of tests:
+Each public call checks its arguments once: ``_check_blocks`` the bound
+and the blocks of a pair, ``_check_partition`` the bound and the blocks of a
+partition.  ``_decide_pair`` trusts both, and decides a pair over its
+carrier (the restriction to the two blocks) through a ladder of tests:
 
   (i)   all labels between the blocks are 2: admissible with order 2;
   (ii)  some vertex of one block has only label-2 edges into the other
@@ -193,10 +196,6 @@ def partition_from_json(g: CoxeterGraph, data) -> BlockPartition:
     )
 
 
-def is_spherical_partition(p: BlockPartition) -> bool:
-    return all(is_spherical(p.graph.restrict(b)) for b in p.blocks)
-
-
 def bipartite_partition(g: CoxeterGraph) -> BlockPartition:
     """The 2-coloring partition of a connected graph on >= 2 vertices."""
     return block_partition(g, bipartite_classes(g))
@@ -279,8 +278,7 @@ class AdmissibilityVerdict(namedtuple(
 
 def _check_bound(bound) -> None:
     """Refuse a bound that is not an int >= 1, the CLI's ``--bound``
-    minimum (a bool is refused too); each public entry checks its bound
-    once, before any scan."""
+    minimum (a bool is refused too), once per public call, before any scan."""
     if isinstance(bound, bool) or not isinstance(bound, int):
         raise TypeError(f"bound must be an int, not {type(bound).__name__}")
     if bound < 1:
@@ -295,9 +293,10 @@ def _isolated_vertex(g: CoxeterGraph, a, b):
     return None
 
 
-def _check_blocks(g: CoxeterGraph, alpha, beta) -> tuple:
-    """The blocks as sorted tuples, once they are disjoint and nonempty sets
-    of vertices of g that span spherical subgraphs; checked once per call."""
+def _check_blocks(g: CoxeterGraph, alpha, beta, bound) -> tuple:
+    """(g restricted to the pair, alpha, beta as sorted tuples), once the bound
+    and the blocks are checked: disjoint nonempty spherical vertex sets of g."""
+    _check_bound(bound)
     for v in (*alpha, *beta):
         if v not in g._index:
             raise ValueError(f"{v!r} is not a vertex")
@@ -307,16 +306,29 @@ def _check_blocks(g: CoxeterGraph, alpha, beta) -> tuple:
     for b in (alpha, beta):
         if not is_spherical(g.restrict(b)):
             raise ValueError(f"block {b} does not span a spherical subgraph")
-    return alpha, beta
+    return g.restrict(alpha + beta), alpha, beta
+
+
+def _check_partitions(**named) -> None:
+    """Refuse an argument that is not a BlockPartition, naming it."""
+    for name, x in named.items():
+        if not isinstance(x, BlockPartition):
+            raise TypeError(f"{name} must be a BlockPartition, not {type(x).__name__}")
+
+
+def _check_partition(p: BlockPartition, bound) -> None:
+    """Check the bound, p and each block's sphericity, once per partition call."""
+    _check_bound(bound)
+    _check_partitions(p=p)
+    if not all(is_spherical(p.graph.restrict(b)) for b in p.blocks):
+        raise ValueError("every block must span a spherical subgraph")
 
 
 def pair_order(g: CoxeterGraph, alpha, beta, bound: int = DEFAULT_BOUND):
     """Order of r_alpha r_beta: exact over a spherical restriction (from
     the cycles of its root permutation), else a power scan up to the bound
     (None past it)."""
-    _check_bound(bound)
-    alpha, beta = _check_blocks(g, alpha, beta)
-    return _pair_order(g.restrict(alpha + beta), alpha, beta, bound)
+    return _pair_order(*_check_blocks(g, alpha, beta, bound), bound)
 
 
 def _pair_order(gr: CoxeterGraph, alpha, beta, bound: int):
@@ -391,11 +403,12 @@ def check_pair(
     g: CoxeterGraph, alpha, beta, bound: int = DEFAULT_BOUND
 ) -> AdmissibilityVerdict:
     """Decide admissibility of the pair of blocks {alpha, beta}."""
-    _check_bound(bound)
-    alpha, beta = _check_blocks(g, alpha, beta)
-    pair = (alpha, beta)
-    gr = g.restrict(alpha + beta)
+    return _decide_pair(*_check_blocks(g, alpha, beta, bound), bound)
 
+
+def _decide_pair(gr: CoxeterGraph, alpha, beta, bound: int) -> AdmissibilityVerdict:
+    """``check_pair`` over the carrier gr, for blocks already checked."""
+    pair = (alpha, beta)
     # (i) direct product: r_a and r_b commute, order 2, trivially admissible
     if is_direct_product(gr, (alpha, beta)):
         return AdmissibilityVerdict(
@@ -413,7 +426,7 @@ def check_pair(
         i0 = _isolated_vertex(gr, x, y)
         if i0 is not None:
             return _refusal(
-                g, IncompatibleWord(alpha, beta, 3, first), bound, pair,
+                gr, IncompatibleWord(alpha, beta, 3, first), bound, pair,
                 f"vertex {i0} has only label-2 edges into the other block",
             )
 
@@ -429,7 +442,7 @@ def check_pair(
         if n is not None and n <= (m or bound):
             order = "" if m is None else f" (order of r_a r_b is {m})"
             return _refusal(
-                g, IncompatibleWord(alpha, beta, n, first), bound, pair,
+                gr, IncompatibleWord(alpha, beta, n, first), bound, pair,
                 f"alternating word of length {n} is incompatible{order}",
             )
     if m is not None:
@@ -508,10 +521,8 @@ def _orbits_of(vertices, maps):
 
 def check_admissible(p: BlockPartition, bound: int = DEFAULT_BOUND) -> AdmissibilityVerdict:
     """Admissibility of a whole partition: a full-partition orbit
-    certificate if one applies, otherwise every pair via check_pair."""
-    _check_bound(bound)
-    if not is_spherical_partition(p):
-        raise ValueError("every block must span a spherical subgraph")
+    certificate if one applies, otherwise every pair on the pair ladder."""
+    _check_partition(p, bound)
     if len(p.blocks) == 1:
         return AdmissibilityVerdict("admissible", bound, reason="single block")
     if verdict := _orbit_verdict(p.graph.restrict(p.carrier), p.blocks, bound):
@@ -519,7 +530,7 @@ def check_admissible(p: BlockPartition, bound: int = DEFAULT_BOUND) -> Admissibi
     # every pair is checked; the first refusal, else the unknown pairs,
     # decides the verdict
     details = tuple([
-        ((na, nb), check_pair(p.graph, a, b, bound))
+        ((na, nb), _decide_pair(p.graph.restrict(a + b), a, b, bound))
         for (na, a), (nb, b) in itertools.combinations(zip(p.names, p.blocks), 2)
     ])
     refused = [v for _, v in details if v.outcome == "not_admissible"]
@@ -596,20 +607,19 @@ def partition_type(
     (e.g. a partition certified by a lift), with no search; otherwise one
     pair check decides, a certificate giving infinity, a refusal the order
     up to the bound and an unknown None."""
-    _check_bound(bound)
-    if not is_spherical_partition(p):
-        raise ValueError("every block must span a spherical subgraph")
+    _check_partition(p, bound)
     k = len(p.blocks)
     orders = [[1 if i == j else None for j in range(k)] for i in range(k)]
     for i in range(k):
         for j in range(i + 1, k):
             a, b = p.blocks[i], p.blocks[j]
-            if is_spherical(p.graph.restrict(a + b)):
-                m = pair_order(p.graph, a, b, bound)
+            gr = p.graph.restrict(a + b)
+            if is_spherical(gr):
+                m = _pair_order(gr, a, b, bound)
             elif assume_admissible:
                 m = INFINITY
-            elif (v := check_pair(p.graph, a, b, bound)).outcome == "not_admissible":
-                m = pair_order(p.graph, a, b, bound)
+            elif (v := _decide_pair(gr, a, b, bound)).outcome == "not_admissible":
+                m = _pair_order(gr, a, b, bound)
             else:  # certified admissible, or unknown
                 m = INFINITY if v.is_admissible else None
             orders[i][j] = orders[j][i] = m
@@ -641,6 +651,7 @@ def lift_partition(outer: BlockPartition, inner: BlockPartition) -> BlockPartiti
     """Compose partitions: inner is a partition of the type graph of outer
     (its vertices are outer's block names); each inner block becomes the
     union of the outer blocks it names."""
+    _check_partitions(outer=outer, inner=inner)
     if not set(inner.carrier) <= set(outer.names):
         raise ValueError("inner blocks must consist of outer block names")
     blocks = []
@@ -658,6 +669,7 @@ def certify_by_lift(
     e.g. when the inner carrier is non-spherical but the lift has enough
     symmetry for an orbit certificate."""
     _check_bound(bound)
+    _check_partitions(outer=outer, inner=inner)
     ov = check_admissible(outer, bound)
     if not ov.is_admissible:
         raise ValueError(f"outer partition must be admissible: {ov.reason}")
@@ -721,22 +733,17 @@ def product_split_check(
         raise ValueError("factors must partition the vertices")
     if not is_direct_product(g, factors):
         raise ValueError("factors are joined by an edge; not a direct product")
-    verdicts, orders = [], []
+    pairs = []  # (carrier, alpha, beta) per factor, then of the glued pair
     for f, (a, b) in zip(factors, factor_partitions):
         if sorted(a + b) != list(f):
             raise ValueError(f"partition of factor {f} does not cover it")
-        verdicts.append(check_pair(g, a, b, bound))
-        orders.append(pair_order(g, a, b, bound))
-    alpha = tuple(sorted(v for a, _ in factor_partitions for v in a))
-    beta = tuple(sorted(v for _, b in factor_partitions for v in b))
-    return ProductSplitReport(
-        tuple(factors),
-        tuple(verdicts),
-        tuple(orders),
-        (alpha, beta),
-        check_pair(g, alpha, beta, bound),
-        pair_order(g, alpha, beta, bound),
-    )
+        pairs.append(_check_blocks(g, a, b, bound))
+    pairs.append(_check_blocks(g, [v for a, _ in factor_partitions for v in a],
+                               [v for _, b in factor_partitions for v in b], bound))
+    verdicts = tuple(_decide_pair(*pair, bound) for pair in pairs)
+    orders = tuple(_pair_order(*pair, bound) for pair in pairs)
+    return ProductSplitReport(tuple(factors), verdicts[:-1], orders[:-1],
+                              pairs[-1][1:], verdicts[-1], orders[-1])
 
 
 # -- classification of 2-partitions ---------------------------------------
@@ -816,7 +823,7 @@ def classify_2partitions(
                     (p, "length", f"block lengths {la}/{lb} against {total}")
                 )
                 continue
-            verdict = check_pair(g, a, b, bound)
+            verdict = _decide_pair(g, a, b, bound)
             if verdict.is_admissible:
                 # over a spherical carrier the certificate is exhaustive
                 admissible.append((p, verdict.certificate.order))

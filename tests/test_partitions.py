@@ -123,6 +123,39 @@ def test_check_pair_not_admissible_with_replayable_witness():
     assert replay_witness(g, v.witness)
 
 
+def test_partition_calls_check_no_pair_again(monkeypatch):
+    # a partition's blocks are checked once, at check_admissible and
+    # partition_type; their pairs run the ladder with no second block check
+    def no_check(*args):
+        raise AssertionError("a pair of checked blocks was checked again")
+
+    monkeypatch.setattr(partitions, "_check_blocks", no_check)
+    a3, at3 = named_graph("A3"), named_graph("Atilde3")
+    g2 = parse_graph("edge 1 2 3\nedge 2 3 6")  # G~2: 1,2 / 3 is refused
+    cases = [(bipartite_partition(a3), "admissible", 4),
+             (parse_partition(at3, "1,3/2,4"), "admissible", INFINITY),
+             (parse_partition(g2, "1,2/3"), "not_admissible", 6)]
+    for p, outcome, order in cases:
+        assert check_admissible(p).outcome == outcome
+        assert partition_type(p).orders[0][1] == order
+    assert [o for _, o in classify_2partitions(a3).admissible] == [4]
+
+
+def test_partition_arguments_are_refused_by_name():
+    # at the parent of this check each call raised AttributeError
+    p = bipartite_partition(named_graph("A3"))
+    inner = block_partition(partition_type(p).graph(), [["1"], ["2"]])
+    for call, name in ((lambda: check_admissible("x"), "p"),
+                       (lambda: partition_type("x", 4), "p"),
+                       (lambda: certify_by_lift("x", "y"), "outer"),
+                       (lambda: certify_by_lift(p, "y"), "inner"),
+                       (lambda: lift_partition("x", "y"), "outer"),
+                       (lambda: lift_partition(p, ("1",)), "inner")):
+        with pytest.raises(TypeError, match=f"^{name} must be a BlockPartition"):
+            call()
+    assert lift_partition(p, inner).blocks == p.blocks
+
+
 def test_verdict_invariants_hold_without_assert():
     # an unknown outcome and a refusal without a witness are rejected on
     # construction, also under python -O
@@ -141,7 +174,7 @@ def test_classification_recheck_raises_without_assert(monkeypatch):
     # internal error, also under python -O
     import coxmon.partitions as partitions
 
-    monkeypatch.setattr(partitions, "check_pair",
+    monkeypatch.setattr(partitions, "_decide_pair",
                         lambda g, a, b, bound: AdmissibilityVerdict("unknown", bound))
     with pytest.raises(RuntimeError, match="unknown"):
         classify_2partitions(named_graph("A6"))
@@ -284,9 +317,9 @@ def test_assume_admissible_searches_no_order_over_an_infinite_carrier(monkeypatc
     # rung (iv) is empty, so an admissible pair over an infinite carrier
     # has infinite order: the caller's word needs no power scan behind it
     def no_search(*args):
-        raise AssertionError("pair_order searched behind an infinite entry")
+        raise AssertionError("an order was searched behind an infinite entry")
 
-    monkeypatch.setattr(partitions, "pair_order", no_search)
+    monkeypatch.setattr(partitions, "_pair_order", no_search)
     p = block_partition(named_graph("Atilde3"), [["1", "3"], ["2", "4"]])
     assert math.isinf(partition_type(p, assume_admissible=True).entry("1", "2"))
 

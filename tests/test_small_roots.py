@@ -95,6 +95,21 @@ def test_small_roots_of_a_spherical_graph_are_its_positive_roots():
         assert all(maps[a][a] == -1 for a in range(g.rank))
 
 
+def test_a_spherical_build_makes_one_sign_test_per_new_root(monkeypatch):
+    # over a spherical graph every positive root is small, so a root joins
+    # E on a positive rise alone, with no test of the rise against 2: E8
+    # has 120 - 8 = 112 non-simple positive roots (the upper test made 224)
+    from coxmon.exact import ExactScalar
+
+    calls = []
+    sign = ExactScalar.sign
+    monkeypatch.setattr(ExactScalar, "sign", lambda x: calls.append(x) or sign(x))
+    small_roots.cache_clear()
+    g = named_graph("E8")
+    assert len(small_roots(g)[0]) == 120
+    assert len(calls) == positive_root_count(g) - g.rank == 112
+
+
 def test_simple_bits_of_the_state_are_the_matrix_descents():
     rng = random.Random(7)
     steps = 0
